@@ -12,10 +12,11 @@ import (
 )
 
 // TestWorkerBudgetSeamDeterministic pins the shared worker-budget seam
-// end to end: a sweep whose budget lends router-internal workers (qmap
-// expansion gang, ml-qls's SABRE trial pool) must aggregate exactly the
-// cells of a sweep whose budget lends nothing. Run under -race in CI,
-// this is the data-race coverage of the harness→router borrow path.
+// end to end: a sweep whose budget lends router-internal workers
+// (ml-qls's SABRE trial pool) must aggregate exactly the cells of a
+// sweep whose budget lends nothing, with a tool that never borrows
+// (qmap's serial A*) routed alongside. Run under -race in CI, this is
+// the data-race coverage of the harness→router borrow path.
 func TestWorkerBudgetSeamDeterministic(t *testing.T) {
 	items, err := GenerateItems(smallSuite())
 	if err != nil {
@@ -23,7 +24,7 @@ func TestWorkerBudgetSeamDeterministic(t *testing.T) {
 	}
 	tools := []ToolSpec{
 		{"qmap", func(seed int64) router.Router {
-			return qmap.New(qmap.Options{MaxNodes: 2000, Seed: seed, Workers: 4})
+			return qmap.New(qmap.Options{MaxNodes: 2000, Seed: seed})
 		}},
 		{"ml-qls", func(seed int64) router.Router {
 			return mlqls.New(mlqls.Options{Seed: seed})

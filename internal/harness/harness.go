@@ -58,9 +58,7 @@ func DefaultTools(sabreTrials int) []ToolSpec {
 			return mlqls.New(mlqls.Options{Seed: seed})
 		}},
 		{"qmap", func(seed int64) router.Router {
-			// Workers caps qmap's deterministic parallel expansion; under a
-			// harness budget the cap only applies to slots actually idle.
-			return qmap.New(qmap.Options{MaxNodes: 2000, Seed: seed, Workers: runtime.GOMAXPROCS(0)})
+			return qmap.New(qmap.Options{MaxNodes: 2000, Seed: seed})
 		}},
 		{"tket", func(seed int64) router.Router {
 			return tket.New(tket.Options{Seed: seed})

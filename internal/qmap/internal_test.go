@@ -159,6 +159,29 @@ func TestSearchLayerSolvesDistanceTwo(t *testing.T) {
 	}
 }
 
+// TestSearchLayerExcessDoesNotWrap is a regression test for a 16-bit
+// excess field: 256 layer gates at distance 257 sum to an excess of
+// exactly 65536, which wrapped to 0, so the start mapping was returned
+// as solved and the greedy fallback did all the routing.
+func TestSearchLayerExcessDoesNotWrap(t *testing.T) {
+	const n, span, gates = 1000, 257, 256
+	dev := arch.Line(n)
+	c := circuit.New(n)
+	for i := 0; i < gates; i++ {
+		c.MustAppend(circuit.NewCX(i, i+span))
+	}
+	dag := circuit.NewDAG(c)
+	layer := dag.Layers()[0]
+	if len(layer) != gates {
+		t.Fatalf("first layer has %d gates, want %d", len(layer), gates)
+	}
+	r := New(Options{MaxNodes: 50, Seed: 1})
+	seq, _ := r.searchLayer(router.IdentityMapping(n), layer, nil, dag, dev)
+	if len(seq) == 0 {
+		t.Fatal("search returned the unsolved start mapping as its answer")
+	}
+}
+
 // TestSearchLayerSteadyStateAllocs pins the arena rewrite: once the
 // engine's scratch (state arena, open-list heap, closed set, touch
 // lists) has grown to fit a layer, repeated layer searches allocate
@@ -181,6 +204,28 @@ func TestSearchLayerSteadyStateAllocs(t *testing.T) {
 	}
 	if e.cntPops == 0 || e.cntGen == 0 {
 		t.Fatalf("instrumented search recorded no work: pops=%d generated=%d", e.cntPops, e.cntGen)
+	}
+}
+
+// TestArenaHoldsOnlyPoppedNodes pins the heap-resident frontier: the
+// arena stores a node only when it is expanded, so after a search it
+// holds at most MaxNodes+1 entries however many successors were
+// generated.
+func TestArenaHoldsOnlyPoppedNodes(t *testing.T) {
+	dev := arch.IBMEagle127()
+	nQ := dev.NumQubits()
+	c := circuit.New(nQ)
+	c.MustAppend(circuit.NewCX(0, 60), circuit.NewCX(10, 100), circuit.NewCX(30, 126))
+	dag := circuit.NewDAG(c)
+	const maxNodes = 40
+	r := New(Options{MaxNodes: maxNodes, Seed: 1})
+	e := r.ensureEngine(dev, nQ)
+	e.searchLayer(r.opts, router.IdentityMapping(nQ), dag.Layers()[0], nil, dag)
+	if len(e.states) > maxNodes+1 {
+		t.Fatalf("arena holds %d nodes after a %d-node search", len(e.states), maxNodes)
+	}
+	if e.cntGen <= maxNodes+1 {
+		t.Fatalf("only %d successors generated; the bound is not exercised", e.cntGen)
 	}
 }
 

@@ -6,25 +6,24 @@
 // layer is optimized mostly in isolation, which lets the mapping drift —
 // the behaviour behind QMAP's large optimality gaps in the paper.
 //
-// The A* search is built for throughput in the SABRE-engine style (see
-// docs/performance.md): search nodes live in a flat arena addressed by
-// index (no *state pointers), the open list is an index heap replicating
-// container/heap's ordering exactly with the f-cost stored inline in the
-// heap entry, the closed set is a reusable open-addressed hash table with
-// fused key/stamp slots, and per-layer gate tables are flattened to one
-// gate per qubit (ASAP layers are qubit-disjoint). Expansion is
-// wave-structured: each popped node's candidate successors are first
-// enumerated in canonical order, then evaluated by pure side-effect-free
-// work (closed-set probe against the pre-wave snapshot plus the heuristic
-// delta), and finally merged — closed-set inserts, arena appends, heap
-// pushes — by a single reducer in the same canonical order. The merge
-// replays exactly the serial engine's decisions, so the evaluation phase
-// can be chunked across a bounded pool.Gang at any worker count while
-// heap contents, closed-set state, and tie-breaking stay bit-identical
-// to Workers == 1 (pinned by TestGoldenCorpus and the worker-count
-// sweep). The node budget is a single counter owned by the reducer loop,
-// and cancellation is polled once per wave, so steady-state expansion
-// performs zero heap allocations with or without a deadline armed.
+// The A* search is serial and built for throughput in the SABRE-engine
+// style (see docs/performance.md). The frontier lives in the open list
+// itself: a 12-byte heap entry holds a successor's f-cost, its parent's
+// arena index and the swap that produces it, and the heap replicates
+// container/heap's ordering exactly. Only expanded (popped) nodes enter
+// the flat arena, so it never holds more than MaxNodes+1 nodes; a popped
+// node's depth, heuristic and Zobrist hash derive from its parent, and
+// its excess sums are recomputed from the gate distances every expansion
+// needs anyway. The closed set is a reusable open-addressed hash table
+// with fused key/stamp slots, and per-layer gate tables are flattened to
+// one gate per qubit (ASAP layers are qubit-disjoint). Each expansion is
+// a wave: successors are enumerated in canonical order, evaluated
+// against the pre-wave closed-set snapshot (batched probes overlap their
+// cache misses), then merged — closed-set inserts and heap pushes — in
+// the same canonical order, which replays the reference engine's
+// decisions exactly (pinned by TestGoldenCorpus). Cancellation is polled
+// once per wave, and steady-state expansion performs zero heap
+// allocations with or without a deadline armed.
 package qmap
 
 import (
@@ -37,7 +36,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/circuit"
 	"repro/internal/graph"
-	"repro/internal/pool"
 	"repro/internal/router"
 )
 
@@ -53,13 +51,8 @@ type Options struct {
 	LookaheadWeight float64
 	// Seed drives the initial placement shuffle.
 	Seed int64
-	// Workers bounds the engine's internal expansion parallelism: each
-	// expansion wave's candidate evaluation is chunked across this many
-	// gang workers and merged in canonical order, so results are
-	// bit-identical to Workers == 1 at any GOMAXPROCS. 0 or 1 evaluates
-	// on the calling goroutine. When a worker budget is attached (see
-	// SetWorkerBudget), Workers is a cap and idle budget slots decide
-	// the actual count.
+	// Workers is ignored: the A* runs serially on the calling goroutine.
+	// The field is kept so existing callers that set it still compile.
 	Workers int
 	// StrongHeuristic replaces the summed-excess heuristic with the
 	// admissible layer bound max(max-gate excess, ceil(sum-excess/2)) —
@@ -89,31 +82,23 @@ type Router struct {
 	opts    Options
 	initial router.Mapping // non-nil: skip placement
 	eng     *engine        // A* scratch reused across calls
-	budget  *pool.Budget   // optional shared worker budget
 	stats   router.Counters
 }
 
 // Counters implements router.Instrumented: Decisions are A* node
 // expansions (pops), Candidates the successor states generated,
 // Restarts the per-layer searches run. The engine counts into plain
-// fields owned by the serial reducer loop; deltas fold into the Router
-// once per Route, so the wave loop stays atomic-free and 0 B/op. Like
-// Route itself, not safe to call concurrently with Route.
+// fields; deltas fold into the Router once per Route, so the search
+// loop stays atomic-free and 0 B/op. Like Route itself, not safe to
+// call concurrently with Route.
 func (r *Router) Counters() router.Counters { return r.stats }
 
 // New returns a QMAP-style router.
 func New(opts Options) *Router { return &Router{opts: opts.withDefaults()} }
 
-// SetWorkerBudget implements router.BudgetedRouter: the router borrows
-// idle slots from b (up to Options.Workers-1 of them) for the duration
-// of each Route call, so its internal expansion parallelism and the
-// caller's own worker pool draw on one budget and never oversubscribe
-// cores. Borrowed slots only change wall-clock time, never results.
-func (r *Router) SetWorkerBudget(b *pool.Budget) { r.budget = b }
-
 // RouteFrom implements router.PlacedRouter.
 func (r *Router) RouteFrom(c *circuit.Circuit, dev *arch.Device, initial router.Mapping) (*router.Result, error) {
-	pinned := &Router{opts: r.opts, initial: router.PadMapping(initial, dev.NumQubits()), budget: r.budget}
+	pinned := &Router{opts: r.opts, initial: router.PadMapping(initial, dev.NumQubits())}
 	res, err := pinned.Route(c, dev)
 	r.stats.Add(pinned.stats)
 	return res, err
@@ -165,23 +150,6 @@ func (r *Router) RoutePreparedCtx(ctx context.Context, p *router.Prepared) (*rou
 
 	e := r.ensureEngine(dev, len(mapping))
 	e.check.Reset(ctx)
-
-	// Resolve the expansion worker count: Options.Workers is the cap,
-	// and an attached budget lends only slots that are actually idle.
-	// The count affects wall-clock time only — never results.
-	workers := r.opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > 1 && r.budget != nil {
-		borrowed := r.budget.TryAcquire(workers - 1)
-		defer r.budget.Release(borrowed)
-		workers = 1 + borrowed
-	}
-	if workers > 1 {
-		e.gang = pool.NewGang(workers)
-		defer func() { e.gang.Close(); e.gang = nil }()
-	}
 
 	g := e.g
 	dist := e.dist
@@ -263,31 +231,29 @@ func (r *Router) ensureEngine(dev *arch.Device, nQ int) *engine {
 	return r.eng
 }
 
-// astate is an A* node in the flat arena. To keep expansion cheap on
-// 127-qubit devices the mapping is not stored per node: each node
-// records only the swap that produced it and its parent index, plus an
-// incrementally maintained heuristic, integer excess-distance sums, and
-// a Zobrist hash. The full mapping is re-materialized by replaying the
-// swap path when the node is popped. The f-cost lives in the node's
-// heap entry, not here, so heap sifting never loads the arena.
+// astate is an expanded A* node in the flat arena. To keep expansion
+// cheap on 127-qubit devices the mapping is not stored per node: each
+// node records only the swap that produced it and its parent index, plus
+// its heuristic and Zobrist hash. The full mapping is re-materialized by
+// replaying the swap path when the node is popped.
 type astate struct {
 	parent int32 // arena index; -1 for the root
 	swap   [2]int16
 	depth  int32
 	h4     int32 // heuristic at this node, in quarter units
-	excess int16 // summed layer excess distance; 0 ⇔ goal
-	look   int16 // summed lookahead excess distance
 	hash   uint64
 }
 
-// heapEntry is one open-list slot: the f-cost is duplicated here so
-// sifting compares adjacent heap memory instead of random arena loads.
-// Every cost is an exact multiple of 0.25, so f is held as an int32 in
-// quarter units — the map f -> 4f is strictly monotone and exact, so
-// ordering and ties match the reference float engine bit for bit.
+// heapEntry is one open-list slot and the whole record of a generated
+// but unexpanded successor: its f-cost, its parent's arena index, and
+// the swap applied to the parent. Every cost is an exact multiple of
+// 0.25, so f is held as an int32 in quarter units — the map f -> 4f is
+// strictly monotone and exact, so ordering and ties match the reference
+// float engine bit for bit.
 type heapEntry struct {
-	f4  int32 // 4*(depth + h), exact
-	idx int32 // arena index
+	f4     int32 // 4*(depth + h), exact
+	parent int32 // arena index of the expanded parent; -1 for the root
+	swap   [2]int16
 }
 
 // engine owns every piece of search scratch, sized once and reused
@@ -303,8 +269,7 @@ type engine struct {
 	// value (direct engine users, background contexts) is inert.
 	check router.CtxChecker
 
-	// Work counters owned by the serial reducer loop (identical at any
-	// gang worker count): node pops and successors generated.
+	// Work counters: node pops and successors generated.
 	cntPops int64
 	cntGen  int64
 
@@ -328,6 +293,7 @@ type engine struct {
 
 	// Per-pop current distance of each layer / lookahead gate, shared by
 	// every candidate of the wave as the "before" side of the delta.
+	// Their excess sums are the popped node's excess and lookahead.
 	curLD []int32
 	curND []int32
 
@@ -336,14 +302,12 @@ type engine struct {
 	expandEpoch int32
 
 	// Wave buffers: phase 1 enumerates candidates in canonical order,
-	// phase 2 fills the evaluation columns (pure, chunkable across the
-	// gang), phase 3 merges serially in the same canonical order.
+	// phase 2 fills the evaluation columns, phase 3 merges in the same
+	// canonical order.
 	wA, wB []int32  // normalized swap pair, a < b
 	wHash  []uint64 // child Zobrist hash
 	wSlot  []int32  // closed-set probe: first-empty slot, or -1 if present
 	wH4    []int32  // child heuristic, quarter units
-	wDX    []int32  // child layer-excess delta
-	wDL    []int32  // child lookahead-excess delta
 
 	// Strong-heuristic per-pop scratch: the three largest layer-gate
 	// excesses with their gate indices (a candidate touches at most two
@@ -358,8 +322,6 @@ type engine struct {
 	applied  [][2]int16
 	appliedN []int32
 	path     []int32
-
-	gang *pool.Gang // non-nil while a Route call runs with Workers > 1
 }
 
 func newEngine(dev *arch.Device, nQ int) *engine {
@@ -382,13 +344,10 @@ func newEngine(dev *arch.Device, nQ int) *engine {
 // searchLayer runs A* from the current mapping to one under which every
 // layer gate is executable. Candidate moves are SWAPs on coupler edges
 // touching the layer's qubits. Returns the swap sequence and final
-// mapping; on node exhaustion, the most promising frontier state.
+// mapping; on node exhaustion, the most promising expanded state.
 //
-// The loop is wave-structured: each pop expands through enumerate →
-// evaluate → merge phases. Only the evaluate phase runs off the calling
-// goroutine (when a gang is attached), so the node counter and the
-// cancellation poll are owned by this single reducer loop in serial and
-// parallel mode alike.
+// Each pop expands through enumerate → evaluate → merge phases. A
+// generated successor exists only as its heap entry until it is popped.
 func (e *engine) searchLayer(opts Options, start router.Mapping, layer, next []int, dag *circuit.DAG) ([][2]int, router.Mapping) {
 	g := e.g
 	dist := e.dist
@@ -455,12 +414,12 @@ func (e *engine) searchLayer(opts Options, start router.Mapping, layer, next []i
 	// 4 and a lookahead step w4 = round(4*LookaheadWeight) (3 at the 0.75
 	// default, where the quantization is exact).
 	w4 := int32(math.Round(4 * opts.LookaheadWeight))
-	root := astate{parent: -1, h4: 4*rootX + w4*rootLK, hash: hash0, excess: int16(rootX), look: int16(rootLK)}
+	rootH4 := 4*rootX + w4*rootLK
 	if opts.StrongHeuristic {
-		root.h4 = strongH4(w4, rootX, rootLK, rootMax)
+		rootH4 = strongH4(w4, rootX, rootLK, rootMax)
 	}
-	e.states = append(e.states, root)
-	e.heapPush(heapEntry{f4: root.h4, idx: 0})
+	e.states = append(e.states, astate{parent: -1, h4: rootH4, hash: hash0})
+	e.heapPush(heapEntry{f4: rootH4, parent: -1})
 	e.closed.addIfAbsent(hash0)
 
 	// Scratch mapping replayed per pop.
@@ -477,32 +436,52 @@ func (e *engine) searchLayer(opts Options, start router.Mapping, layer, next []i
 	e.appliedN = e.appliedN[:0]
 
 	// Cancellation cuts the search short through the same exit as node
-	// exhaustion: the most promising frontier state is handed back, and
-	// the Route-level layer loop aborts before using it. nodes is the
-	// single MaxNodes counter, owned by this reducer loop and counted
-	// identically at any worker count; Tick polls once per wave.
+	// exhaustion: the most promising expanded state is handed back, and
+	// the Route-level layer loop aborts before using it. Tick polls once
+	// per wave.
 	bestFrontier := int32(0)
 	nodes := 0
 	for len(e.heap) > 0 && nodes < opts.MaxNodes && !e.check.Tick() {
-		cur := e.heapPop()
+		top := e.heapPop()
 		nodes++
 		e.cntPops++
-		if e.states[cur].excess == 0 {
-			// Integer excess is exact: 0 ⇔ every layer gate at distance 1.
-			e.apply(cur, m, inv)
-			return e.appliedSeq(), m.Clone()
+		// Expand the entry into an arena node (the root already is one).
+		// Depth and heuristic follow from the parent and the f-cost; the
+		// hash XORs the swap's four Zobrist keys into the parent's, and
+		// those keys are the same before and after the swap.
+		cur := int32(0)
+		if top.parent >= 0 {
+			cur = int32(len(e.states))
+			depth := e.states[top.parent].depth + 1
+			e.states = append(e.states, astate{parent: top.parent, swap: top.swap, depth: depth, h4: top.f4 - 4*depth})
 		}
 		e.apply(cur, m, inv)
-		if e.states[cur].h4 < e.states[bestFrontier].h4 {
-			bestFrontier = cur
+		if top.parent >= 0 {
+			a, b := int(top.swap[0]), int(top.swap[1])
+			pa, pb := m[a], m[b]
+			e.states[cur].hash = e.states[top.parent].hash ^ e.zob[a*nP+pa] ^ e.zob[a*nP+pb] ^ e.zob[b*nP+pb] ^ e.zob[b*nP+pa]
 		}
 
-		// The wave's shared "before" side: current gate distances.
+		// The wave's shared "before" side: current gate distances, whose
+		// excess sums are the node's layer excess and lookahead excess.
+		curX, curLK := int32(0), int32(0)
 		for gi := 0; gi < nL; gi++ {
-			e.curLD[gi] = int32(dist.At(m[e.lq0[gi]], m[e.lq1[gi]]))
+			d := int32(dist.At(m[e.lq0[gi]], m[e.lq1[gi]]))
+			e.curLD[gi] = d
+			curX += d - 1
 		}
 		for gi := 0; gi < nN; gi++ {
-			e.curND[gi] = int32(dist.At(m[e.nq0[gi]], m[e.nq1[gi]]))
+			d := int32(dist.At(m[e.nq0[gi]], m[e.nq1[gi]]))
+			e.curND[gi] = d
+			curLK += d - 1
+		}
+		if curX == 0 {
+			// Integer excess is exact: 0 ⇔ every layer gate at distance 1.
+			return e.appliedSeq(), m.Clone()
+		}
+		curH4 := e.states[cur].h4
+		if curH4 < e.states[bestFrontier].h4 {
+			bestFrontier = cur
 		}
 		if opts.StrongHeuristic {
 			e.topV = [3]int32{-1, -1, -1}
@@ -555,46 +534,19 @@ func (e *engine) searchLayer(opts Options, start router.Mapping, layer, next []i
 		}
 		nw := len(e.wA)
 		e.cntGen += int64(nw)
-		if cap(e.wSlot) < nw {
-			e.wSlot = make([]int32, nw)
-			e.wH4 = make([]int32, nw)
-			e.wDX = make([]int32, nw)
-			e.wDL = make([]int32, nw)
-		}
-		e.wSlot = e.wSlot[:nw]
-		e.wH4 = e.wH4[:nw]
-		e.wDX = e.wDX[:nw]
-		e.wDL = e.wDL[:nw]
+		e.wSlot = ensureI32(e.wSlot, nw)
+		e.wH4 = ensureI32(e.wH4, nw)
 
-		// Phase 2 — evaluate: pure per-candidate work against the
-		// pre-wave closed-set snapshot and the unmutated mapping. The
-		// chunking (or lack of it) cannot change any output value.
-		curH4 := e.states[cur].h4
-		curX := int32(e.states[cur].excess)
-		curLK := int32(e.states[cur].look)
-		if e.gang != nil && nw >= 48 {
-			parts := e.gang.Workers()
-			chunk := (nw + parts - 1) / parts
-			e.gang.Run(parts, func(part int) {
-				lo := part * chunk
-				hi := lo + chunk
-				if hi > nw {
-					hi = nw
-				}
-				if lo < hi {
-					e.evalWave(opts, w4, lo, hi, curH4, curX, curLK)
-				}
-			})
-		} else {
-			e.evalWave(opts, w4, 0, nw, curH4, curX, curLK)
-		}
+		// Phase 2 — evaluate: per-candidate work against the pre-wave
+		// closed-set snapshot and the unmutated mapping.
+		e.evalWave(opts, w4, nw, curH4, curX, curLK)
 
-		// Phase 3 — merge: replay the serial engine's closed-set inserts,
-		// arena appends, and heap pushes in canonical order. A candidate
-		// whose snapshot probe missed can still lose to an earlier
-		// same-wave insert of the same key; addAt resumes the probe at
-		// the cached slot, which linear probing keeps exact.
-		curDepth := e.states[cur].depth
+		// Phase 3 — merge: replay the reference engine's closed-set
+		// inserts and heap pushes in canonical order. A candidate whose
+		// snapshot probe missed can still lose to an earlier same-wave
+		// insert of the same key; addAt resumes the probe at the cached
+		// slot, which linear probing keeps exact.
+		childDepth := e.states[cur].depth + 1
 		grown := false
 		for i := 0; i < nw; i++ {
 			slot := e.wSlot[i]
@@ -610,32 +562,24 @@ func (e *engine) searchLayer(opts Options, start router.Mapping, layer, next []i
 			if !added {
 				continue
 			}
-			ns := astate{
+			e.heapPush(heapEntry{
+				f4:     4*childDepth + e.wH4[i],
 				parent: cur,
 				swap:   [2]int16{int16(e.wA[i]), int16(e.wB[i])},
-				depth:  curDepth + 1,
-				excess: int16(curX + e.wDX[i]),
-				look:   int16(curLK + e.wDL[i]),
-				h4:     e.wH4[i],
-				hash:   e.wHash[i],
-			}
-			idx := int32(len(e.states))
-			e.states = append(e.states, ns)
-			e.heapPush(heapEntry{f4: 4*ns.depth + ns.h4, idx: idx})
+			})
 		}
 	}
-	// Exhausted: hand the most promising state back; the caller finishes
-	// greedily.
+	// Exhausted: hand the most promising expanded state back; the caller
+	// finishes greedily.
 	e.apply(bestFrontier, m, inv)
 	return e.appliedSeq(), m.Clone()
 }
 
-// evalWave fills the evaluation columns for wave candidates [lo, hi):
+// evalWave fills the evaluation columns for the wave's nw candidates:
 // the closed-set snapshot probe and, for absent candidates, the child's
-// heuristic and integer excess deltas. It reads only pre-wave state —
-// the mapping is never mutated mid-wave — so disjoint ranges can run on
-// gang workers concurrently and produce bit-identical columns.
-func (e *engine) evalWave(opts Options, w4 int32, lo, hi int, curH4, curX, curLK int32) {
+// heuristic. It reads only pre-wave state; the mapping is never mutated
+// mid-wave.
+func (e *engine) evalWave(opts Options, w4 int32, nw int, curH4, curX, curLK int32) {
 	dist := e.dist
 	m := e.m
 
@@ -647,7 +591,7 @@ func (e *engine) evalWave(opts Options, w4 int32, lo, hi int, curH4, curX, curLK
 	slots := e.closed.slots
 	mask := len(slots) - 1
 	epoch := e.closed.epoch
-	for i := lo; i < hi; i++ {
+	for i := 0; i < nw; i++ {
 		h := int(splitmix64(e.wHash[i])) & mask
 		sl := slots[h]
 		if sl.stamp != epoch {
@@ -659,7 +603,7 @@ func (e *engine) evalWave(opts Options, w4 int32, lo, hi int, curH4, curX, curLK
 		}
 	}
 
-	for i := lo; i < hi; i++ {
+	for i := 0; i < nw; i++ {
 		if s0 := e.wSlot[i]; s0 < -1 {
 			// Finish the collision chain; the lines are warm now.
 			j := int(^s0) & mask
@@ -741,8 +685,6 @@ func (e *engine) evalWave(opts Options, w4 int32, lo, hi int, curH4, curX, curLK
 			dh4 += w4 * di
 			dl += di
 		}
-		e.wDX[i] = dx
-		e.wDL[i] = dl
 		if opts.StrongHeuristic {
 			// Max gate excess after the swap: the best untouched gate is
 			// among the pop's top three (at most two gates are touched),
@@ -860,10 +802,10 @@ func ensureI32(s []int32, n int) []int32 {
 
 // --- open list: an index heap replicating container/heap exactly -----
 //
-// Entries carry (4*fCost, arena index); comparisons are strictly-less
-// on the quarter-unit f, exactly as the reference engine compared arena
-// fCosts (4f is a strictly monotone, exact map of f), so push and pop
-// order — including ties — is unchanged.
+// Comparisons are strictly-less on the quarter-unit f alone, exactly as
+// the reference engine compared arena fCosts (4f is a strictly monotone,
+// exact map of f), so push and pop order — including ties — does not
+// depend on what else an entry carries.
 
 func (e *engine) heapPush(x heapEntry) {
 	e.heap = append(e.heap, x)
@@ -878,13 +820,13 @@ func (e *engine) heapPush(x heapEntry) {
 	}
 }
 
-func (e *engine) heapPop() int32 {
+func (e *engine) heapPop() heapEntry {
 	n := len(e.heap) - 1
 	e.heap[0], e.heap[n] = e.heap[n], e.heap[0]
 	e.heapDown(0, n)
 	x := e.heap[n]
 	e.heap = e.heap[:n]
-	return x.idx
+	return x
 }
 
 func (e *engine) heapDown(i0, n int) {

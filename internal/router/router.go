@@ -96,8 +96,9 @@ type Router interface {
 	Route(c *circuit.Circuit, dev *arch.Device) (*Result, error)
 }
 
-// BudgetedRouter is a tool whose internal parallelism (expansion waves,
-// trial pools) can borrow idle worker slots from a shared pool.Budget.
+// BudgetedRouter is a tool whose internal parallelism (SABRE's trial
+// pool, which ML-QLS inherits) can borrow idle worker slots from a
+// shared pool.Budget.
 // The harness attaches one budget per sweep so router-internal workers
 // and the cross-instance pool never oversubscribe the machine: the
 // sweep pool reserves its slots up front and routers opportunistically

@@ -21,20 +21,44 @@ func WeaveSingleQubitGates(orig, skeleton *circuit.Circuit) (*circuit.Circuit, e
 	if skeleton.NumQubits != orig.NumQubits {
 		return nil, fmt.Errorf("router: weave qubit count mismatch: %d vs %d", skeleton.NumQubits, orig.NumQubits)
 	}
-	// Per-qubit queues over ALL original gates.
-	queues := make([][]int, orig.NumQubits)
-	for idx, g := range orig.Gates {
-		for _, q := range g.Qubits() {
-			queues[q] = append(queues[q], idx)
+	n := orig.NumQubits
+	// Per-qubit queues over ALL original gates, as one CSR array: qubit
+	// q's gate indices, in circuit order, are queue[start[q]:start[q+1]],
+	// and heads[q] is the position of its next pending gate.
+	start := make([]int, n+1)
+	for _, g := range orig.Gates {
+		start[g.Q0+1]++
+		if g.TwoQubit() {
+			start[g.Q1+1]++
 		}
 	}
-	heads := make([]int, orig.NumQubits)
+	for q := 0; q < n; q++ {
+		start[q+1] += start[q]
+	}
+	queue := make([]int32, start[n])
+	heads := make([]int, n)
+	copy(heads, start)
+	for idx, g := range orig.Gates {
+		queue[heads[g.Q0]] = int32(idx)
+		heads[g.Q0]++
+		if g.TwoQubit() {
+			queue[heads[g.Q1]] = int32(idx)
+			heads[g.Q1]++
+		}
+	}
+	copy(heads, start)
 
-	out := circuit.New(orig.NumQubits)
+	swaps := 0
+	for _, g := range skeleton.Gates {
+		if g.Kind == circuit.Swap {
+			swaps++
+		}
+	}
+	out := circuit.New(n)
+	out.Gates = make([]circuit.Gate, 0, len(orig.Gates)+swaps)
 	emit1qChain := func(q int) {
-		for heads[q] < len(queues[q]) {
-			idx := queues[q][heads[q]]
-			g := orig.Gates[idx]
+		for heads[q] < start[q+1] {
+			g := orig.Gates[queue[heads[q]]]
 			if g.TwoQubit() {
 				return
 			}
@@ -42,7 +66,7 @@ func WeaveSingleQubitGates(orig, skeleton *circuit.Circuit) (*circuit.Circuit, e
 			heads[q]++
 		}
 	}
-	for q := 0; q < orig.NumQubits; q++ {
+	for q := 0; q < n; q++ {
 		emit1qChain(q)
 	}
 	for i, g := range skeleton.Gates {
@@ -55,11 +79,10 @@ func WeaveSingleQubitGates(orig, skeleton *circuit.Circuit) (*circuit.Circuit, e
 		}
 		// The head of both queues must be this very gate.
 		for _, q := range []int{g.Q0, g.Q1} {
-			if heads[q] >= len(queues[q]) {
+			if heads[q] >= start[q+1] {
 				return nil, fmt.Errorf("router: skeleton gate %d (%v): no pending original gate on q%d", i, g, q)
 			}
-			idx := queues[q][heads[q]]
-			w := orig.Gates[idx]
+			w := orig.Gates[queue[heads[q]]]
 			if w.Kind != g.Kind || w.Q0 != g.Q0 || w.Q1 != g.Q1 {
 				return nil, fmt.Errorf("router: skeleton gate %d (%v) does not match q%d's next original gate (%v)", i, g, q, w)
 			}
@@ -70,9 +93,9 @@ func WeaveSingleQubitGates(orig, skeleton *circuit.Circuit) (*circuit.Circuit, e
 		emit1qChain(g.Q0)
 		emit1qChain(g.Q1)
 	}
-	for q := 0; q < orig.NumQubits; q++ {
-		if heads[q] != len(queues[q]) {
-			return nil, fmt.Errorf("router: weave left %d original gates pending on q%d", len(queues[q])-heads[q], q)
+	for q := 0; q < n; q++ {
+		if heads[q] != start[q+1] {
+			return nil, fmt.Errorf("router: weave left %d original gates pending on q%d", start[q+1]-heads[q], q)
 		}
 	}
 	return out, nil
