@@ -241,6 +241,55 @@ func BenchmarkMlqlsRoute(b *testing.B) {
 	})
 }
 
+// BenchmarkPrepare and BenchmarkValidate cover the two router layers an
+// evaluated cell passes through besides the route itself: building the
+// shared routing context and independently validating a result. Both
+// run on one Eagle-127, 3000-gate instance; run them with -benchmem.
+func BenchmarkPrepare(b *testing.B) {
+	bench := eagleBench(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := router.Prepare(bench.Circuit, bench.Device)
+		if err != nil {
+			b.Fatal(err)
+		}
+		// The lazy views are part of the context the tools share: the
+		// DAG and ASAP layering every tool reads, and SABRE's reversed DAG.
+		p.DAG()
+		p.Layers()
+		p.ReversedDAG()
+	}
+}
+
+func BenchmarkValidate(b *testing.B) {
+	bench := eagleBench(b)
+	res, err := tket.New(tket.Options{Seed: 1}).Route(bench.Circuit, bench.Device)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := router.Validate(bench.Circuit, bench.Device, res); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// eagleBench generates the Eagle-127, 3000-gate instance the router
+// benchmarks route.
+func eagleBench(b *testing.B) *qubikos.Benchmark {
+	b.Helper()
+	bench, err := qubikos.Generate(arch.IBMEagle127(), qubikos.Options{
+		NumSwaps: 20, TargetTwoQubitGates: 3000, Seed: 9,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return bench
+}
+
 func BenchmarkRouteMLQLSSycamore54(b *testing.B) {
 	benchRoute(b, func(s int64) router.Router { return mlqls.New(mlqls.Options{Seed: s}) },
 		arch.GoogleSycamore54(), 5, 1500)

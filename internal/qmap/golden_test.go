@@ -1,12 +1,14 @@
 package qmap_test
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"runtime"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/circuit"
 	"repro/internal/qmap"
 	"repro/internal/qubikos"
 	"repro/internal/router"
@@ -71,17 +73,26 @@ func fingerprint(res *router.Result) uint64 {
 }
 
 // checkGolden routes gc under opts and compares the result and the work
-// counters against the recorded expectations. Results are also
-// re-validated independently, so a fingerprint match can't hide an
-// invalid routing.
+// counters against the recorded expectations.
 func checkGolden(t *testing.T, gc goldenCase, opts qmap.Options) {
 	t.Helper()
+	if err := routeGolden(gc, opts); err != nil {
+		t.Error(err)
+	}
+}
+
+// routeGolden routes gc on a fresh Router and reports any mismatch with
+// the recorded expectations. Results are also re-validated
+// independently, so a fingerprint match can't hide an invalid routing.
+// It reports instead of failing so that it can run off the test
+// goroutine.
+func routeGolden(gc goldenCase, opts qmap.Options) error {
 	dev := gc.device()
 	b, err := qubikos.Generate(dev, qubikos.Options{
 		NumSwaps: gc.swaps, TargetTwoQubitGates: gc.gates, Seed: gc.seed,
 	})
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	r := qmap.New(opts)
 	var res *router.Result
@@ -91,19 +102,27 @@ func checkGolden(t *testing.T, gc goldenCase, opts qmap.Options) {
 		res, err = r.Route(b.Circuit, dev)
 	}
 	if err != nil {
-		t.Fatal(err)
+		return fmt.Errorf("%s: %w", gc.name, err)
 	}
-	if err := router.Validate(b.Circuit, dev, res); err != nil {
-		t.Fatalf("result no longer validates: %v", err)
+	return compareGolden(gc, b.Circuit, dev, res, r.Counters())
+}
+
+// compareGolden checks one routed result and its work counters against
+// gc's recorded expectations.
+func compareGolden(gc goldenCase, c *circuit.Circuit, dev *arch.Device, res *router.Result, cnt router.Counters) error {
+	if err := router.Validate(c, dev, res); err != nil {
+		return fmt.Errorf("%s: result no longer validates: %w", gc.name, err)
 	}
+	var errs []error
 	if res.SwapCount != gc.want || fingerprint(res) != gc.print {
-		t.Errorf("swaps=%d print=%#x, recorded engine produced swaps=%d print=%#x",
-			res.SwapCount, fingerprint(res), gc.want, gc.print)
+		errs = append(errs, fmt.Errorf("%s: swaps=%d print=%#x, recorded engine produced swaps=%d print=%#x",
+			gc.name, res.SwapCount, fingerprint(res), gc.want, gc.print))
 	}
-	if c := r.Counters(); c.Decisions != gc.pops || c.Candidates != gc.gen {
-		t.Errorf("pops=%d generated=%d, want pops=%d generated=%d",
-			c.Decisions, c.Candidates, gc.pops, gc.gen)
+	if cnt.Decisions != gc.pops || cnt.Candidates != gc.gen {
+		errs = append(errs, fmt.Errorf("%s: pops=%d generated=%d, want pops=%d generated=%d",
+			gc.name, cnt.Decisions, cnt.Candidates, gc.pops, gc.gen))
 	}
+	return errors.Join(errs...)
 }
 
 // TestGoldenCorpus routes the pinned-seed corpus and compares against

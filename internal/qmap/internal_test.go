@@ -1,6 +1,7 @@
 package qmap
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -62,8 +63,8 @@ func TestZobristSwapInvariance(t *testing.T) {
 
 func TestApplyReconstructsSwapPath(t *testing.T) {
 	// The arena replaces per-node swap paths: apply must re-materialize a
-	// node's mapping by replaying its root path, and appliedSeq must
-	// return that path in root-to-node order.
+	// node's mapping by replaying its root path, and leave that path in
+	// e.applied in root-to-node order.
 	dev := arch.Line(4)
 	e := newEngine(dev, 4)
 	e.states = append(e.states,
@@ -74,8 +75,8 @@ func TestApplyReconstructsSwapPath(t *testing.T) {
 	m := router.IdentityMapping(4)
 	inv := m.Inverse(4)
 	e.apply(2, m, inv)
-	seq := e.appliedSeq()
-	if len(seq) != 2 || seq[0] != [2]int{0, 1} || seq[1] != [2]int{2, 3} {
+	seq := e.applied
+	if len(seq) != 2 || seq[0] != [2]int16{0, 1} || seq[1] != [2]int16{2, 3} {
 		t.Fatalf("seq=%v", seq)
 	}
 	want := router.Mapping{1, 0, 3, 2}
@@ -86,7 +87,7 @@ func TestApplyReconstructsSwapPath(t *testing.T) {
 	}
 	// Jumping back to the root rewinds everything.
 	e.apply(0, m, inv)
-	if e.appliedSeq() != nil {
+	if len(e.applied) != 0 {
 		t.Fatal("root has a sequence")
 	}
 	for q := 0; q < 4; q++ {
@@ -127,13 +128,51 @@ func TestU64SetMembership(t *testing.T) {
 	}
 }
 
+// TestU64SetEpochWrap pins the closed set's wrap: keys stamped with a
+// small epoch must not reappear when the epoch wraps back to it.
+func TestU64SetEpochWrap(t *testing.T) {
+	var s u64set
+	s.reset()
+	for k := uint64(0); k < 100; k++ {
+		s.addIfAbsent(k)
+	}
+	s.epoch = math.MaxInt32 - 1
+	s.reset() // epoch MaxInt32
+	s.reset() // wraps to 1, the stale keys' epoch
+	if s.epoch != 1 {
+		t.Fatalf("epoch after wrap = %d, want 1", s.epoch)
+	}
+	for k := uint64(0); k < 100; k++ {
+		if !s.addIfAbsent(k) {
+			t.Fatalf("key %d from before the wrap is still present", k)
+		}
+	}
+}
+
+// TestNextEpochWrap pins the stamp arrays' wrap: at math.MaxInt32 the
+// stamps are cleared and the epoch restarts at 1.
+func TestNextEpochWrap(t *testing.T) {
+	stamps := []int32{1, 2, math.MaxInt32}
+	epoch := int32(math.MaxInt32 - 1)
+	if got := nextEpoch(&epoch, stamps); got != math.MaxInt32 || stamps[0] != 1 {
+		t.Fatalf("advance to MaxInt32: epoch=%d stamps=%v", got, stamps)
+	}
+	if got := nextEpoch(&epoch, stamps); got != 1 || epoch != 1 {
+		t.Fatalf("wrap: epoch=%d, want 1", got)
+	}
+	for i, st := range stamps {
+		if st != 0 {
+			t.Fatalf("stamp %d = %d survived the wrap", i, st)
+		}
+	}
+}
+
 func TestSearchLayerGoalAtStart(t *testing.T) {
 	c := circuit.New(2)
 	c.MustAppend(circuit.NewCX(0, 1))
 	dev := arch.Line(2)
-	r := New(Options{Seed: 1})
 	dag := circuit.NewDAG(c)
-	seq, final := r.searchLayer(router.IdentityMapping(2), []int{0}, nil, dag, dev)
+	seq, final := searchLayer(Options{Seed: 1}, router.IdentityMapping(2), []int{0}, nil, dag, dev)
 	if len(seq) != 0 {
 		t.Fatalf("swaps inserted for an executable layer: %v", seq)
 	}
@@ -147,10 +186,9 @@ func TestSearchLayerSolvesDistanceTwo(t *testing.T) {
 	c := circuit.New(3)
 	c.MustAppend(circuit.NewCX(0, 1))
 	dev := arch.Line(3)
-	r := New(Options{Seed: 1})
 	dag := circuit.NewDAG(c)
 	start := router.Mapping{0, 2, 1} // q1 at p2, q2 (unused) at p1
-	seq, final := r.searchLayer(start, []int{0}, nil, dag, dev)
+	seq, final := searchLayer(Options{Seed: 1}, start, []int{0}, nil, dag, dev)
 	if len(seq) != 1 {
 		t.Fatalf("expected exactly 1 swap, got %v", seq)
 	}
@@ -175,8 +213,7 @@ func TestSearchLayerExcessDoesNotWrap(t *testing.T) {
 	if len(layer) != gates {
 		t.Fatalf("first layer has %d gates, want %d", len(layer), gates)
 	}
-	r := New(Options{MaxNodes: 50, Seed: 1})
-	seq, _ := r.searchLayer(router.IdentityMapping(n), layer, nil, dag, dev)
+	seq, _ := searchLayer(Options{MaxNodes: 50, Seed: 1}, router.IdentityMapping(n), layer, nil, dag, dev)
 	if len(seq) == 0 {
 		t.Fatal("search returned the unsolved start mapping as its answer")
 	}
@@ -184,9 +221,9 @@ func TestSearchLayerExcessDoesNotWrap(t *testing.T) {
 
 // TestSearchLayerSteadyStateAllocs pins the arena rewrite: once the
 // engine's scratch (state arena, open-list heap, closed set, touch
-// lists) has grown to fit a layer, repeated layer searches allocate
-// only their returned swap sequence and final mapping — node expansion
-// itself is allocation-free.
+// lists) has grown to fit a layer, a repeated layer search allocates
+// nothing — it moves the caller's mapping in place and returns its swap
+// sequence as a view of engine scratch.
 func TestSearchLayerSteadyStateAllocs(t *testing.T) {
 	dev := arch.RigettiAspen4()
 	nQ := dev.NumQubits()
@@ -195,12 +232,16 @@ func TestSearchLayerSteadyStateAllocs(t *testing.T) {
 	dag := circuit.NewDAG(c)
 	layer := dag.Layers()[0]
 	start := router.IdentityMapping(nQ)
-	r := New(Options{MaxNodes: 500, Seed: 1})
-	e := r.ensureEngine(dev, nQ)
-	search := func() { e.searchLayer(r.opts, start, layer, nil, dag) }
+	m := start.Clone()
+	opts := Options{MaxNodes: 500, Seed: 1}.withDefaults()
+	e := newEngine(dev, nQ)
+	search := func() {
+		copy(m, start)
+		e.searchLayer(opts, m, layer, nil, dag)
+	}
 	search() // warm-up: arena, heap, and closed set grow once
-	if a := testing.AllocsPerRun(20, search); a > 4 {
-		t.Fatalf("warm layer search allocates %.1f objects, want at most the returned seq+mapping (4)", a)
+	if a := testing.AllocsPerRun(20, search); a != 0 {
+		t.Fatalf("warm layer search allocates %.1f objects, want 0", a)
 	}
 	if e.cntPops == 0 || e.cntGen == 0 {
 		t.Fatalf("instrumented search recorded no work: pops=%d generated=%d", e.cntPops, e.cntGen)
@@ -218,9 +259,8 @@ func TestArenaHoldsOnlyPoppedNodes(t *testing.T) {
 	c.MustAppend(circuit.NewCX(0, 60), circuit.NewCX(10, 100), circuit.NewCX(30, 126))
 	dag := circuit.NewDAG(c)
 	const maxNodes = 40
-	r := New(Options{MaxNodes: maxNodes, Seed: 1})
-	e := r.ensureEngine(dev, nQ)
-	e.searchLayer(r.opts, router.IdentityMapping(nQ), dag.Layers()[0], nil, dag)
+	e := newEngine(dev, nQ)
+	e.searchLayer(Options{MaxNodes: maxNodes, Seed: 1}.withDefaults(), router.IdentityMapping(nQ), dag.Layers()[0], nil, dag)
 	if len(e.states) > maxNodes+1 {
 		t.Fatalf("arena holds %d nodes after a %d-node search", len(e.states), maxNodes)
 	}
@@ -233,8 +273,6 @@ func TestInitialPlacementInjective(t *testing.T) {
 	b := circuit.New(54)
 	b.MustAppend(circuit.NewCX(0, 1), circuit.NewCX(1, 2), circuit.NewCX(0, 2))
 	dev := arch.GoogleSycamore54()
-	r := New(Options{Seed: 3})
-	_ = r
 	m := initialPlacement(b, dev, newRand(3))
 	if err := m.Validate(dev.NumQubits()); err != nil {
 		t.Fatal(err)
@@ -253,3 +291,19 @@ func TestInitialPlacementInjective(t *testing.T) {
 }
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// searchLayer runs one layer search on a fresh engine and returns copies
+// of its swap sequence and of the final mapping.
+func searchLayer(opts Options, start router.Mapping, layer, next []int, dag *circuit.DAG, dev *arch.Device) ([][2]int16, router.Mapping) {
+	e := newEngine(dev, len(start))
+	final := start.Clone()
+	seq := e.searchLayer(opts.withDefaults(), final, layer, next, dag)
+	return append([][2]int16(nil), seq...), final
+}
+
+// newEngine returns an unpooled engine bound to dev.
+func newEngine(dev *arch.Device, nQ int) *engine {
+	e := new(engine)
+	e.bind(dev, nQ)
+	return e
+}

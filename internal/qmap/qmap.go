@@ -23,7 +23,9 @@
 // the same canonical order, which replays the reference engine's
 // decisions exactly (pinned by TestGoldenCorpus). Cancellation is polled
 // once per wave, and steady-state expansion performs zero heap
-// allocations with or without a deadline armed.
+// allocations with or without a deadline armed. Engines are pooled
+// across Routes and Routers, so a warm Route allocates little beyond its
+// result.
 package qmap
 
 import (
@@ -32,6 +34,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
@@ -75,22 +78,23 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Router is the QMAP-style tool. A Router reuses its search scratch
-// across Route calls and is therefore not safe for concurrent use;
-// create one Router per goroutine (the harness builds one per job).
+// Router is the QMAP-style tool. A Router keeps no search scratch: each
+// Route borrows an engine from a package-level pool and returns it when
+// it finishes, so building a fresh Router per cell costs nothing. Only
+// the work counters are unsynchronized, plain fields; a Router must
+// therefore not Route on two goroutines at once, and Counters must not
+// be read while a Route is in flight. Distinct Routers are independent.
 type Router struct {
 	opts    Options
 	initial router.Mapping // non-nil: skip placement
-	eng     *engine        // A* scratch reused across calls
 	stats   router.Counters
 }
 
 // Counters implements router.Instrumented: Decisions are A* node
 // expansions (pops), Candidates the successor states generated,
 // Restarts the per-layer searches run. The engine counts into plain
-// fields; deltas fold into the Router once per Route, so the search
-// loop stays atomic-free and 0 B/op. Like Route itself, not safe to
-// call concurrently with Route.
+// fields that fold into the Router once per Route, so the search loop
+// stays atomic-free and 0 B/op.
 func (r *Router) Counters() router.Counters { return r.stats }
 
 // New returns a QMAP-style router.
@@ -133,53 +137,57 @@ func (r *Router) RoutePrepared(p *router.Prepared) (*router.Result, error) {
 // layer loop then aborts before emitting anything from the truncated
 // search, so no partial result escapes.
 func (r *Router) RoutePreparedCtx(ctx context.Context, p *router.Prepared) (*router.Result, error) {
-	dev := p.Device
-	skeleton := p.Skeleton
-	rng := rand.New(rand.NewSource(r.opts.Seed))
+	mapping := r.placement(p)
+	// The engine goes back to the pool on every return, errors included;
+	// a panicking route drops it rather than recycle half-updated scratch.
+	e := acquireEngine(p.Device, len(mapping))
+	res, err := r.route(ctx, p, e, mapping)
+	releaseEngine(e)
+	return res, err
+}
 
+// placement returns a fresh copy of the starting mapping: the pinned
+// one, or QMAP's seeded placement.
+func (r *Router) placement(p *router.Prepared) router.Mapping {
+	if r.initial != nil {
+		return r.initial.Clone()
+	}
+	return initialPlacement(p.Skeleton, p.Device, rand.New(rand.NewSource(r.opts.Seed)))
+}
+
+// route runs the layer loop on a bound engine, moving mapping from the
+// initial placement to the final layout.
+func (r *Router) route(ctx context.Context, p *router.Prepared, e *engine, mapping router.Mapping) (*router.Result, error) {
+	e.check.Reset(ctx)
+	e.cntPops, e.cntGen = 0, 0
+	initial := mapping.Clone()
 	dag := p.DAG()
 	layers := p.Layers()
-
-	var mapping router.Mapping
-	if r.initial != nil {
-		mapping = r.initial.Clone()
-	} else {
-		mapping = initialPlacement(skeleton, dev, rng)
-	}
-	initial := mapping.Clone()
-
-	e := r.ensureEngine(dev, len(mapping))
-	e.check.Reset(ctx)
-
 	g := e.g
 	dist := e.dist
-	out := circuit.New(skeleton.NumQubits)
+	out := &e.out
+	out.NumQubits, out.Gates = p.Skeleton.NumQubits, out.Gates[:0]
 	swaps := 0
-
-	// The engine persists across Route calls (and is replaced when the
-	// device changes), so the per-call work is the counter delta.
-	pops0, gen0 := e.cntPops, e.cntGen
 
 	for li, layer := range layers {
 		var next []int
 		if li+1 < len(layers) {
 			next = layers[li+1]
 		}
-		seq, final := e.searchLayer(r.opts, mapping, layer, next, dag)
+		seq := e.searchLayer(r.opts, mapping, layer, next, dag)
 		if err := e.check.Err(); err != nil {
 			return nil, fmt.Errorf("qmap: %w", err)
 		}
 		for _, sw := range seq {
-			out.MustAppend(circuit.NewSwap(sw[0], sw[1]))
-			swaps++
+			out.MustAppend(circuit.NewSwap(int(sw[0]), int(sw[1])))
 		}
-		mapping = final
+		swaps += len(seq)
 		// Emit the layer's gates (now all executable).
 		for _, v := range layer {
 			gt := dag.Gate(v)
 			if !g.HasEdge(mapping[gt.Q0], mapping[gt.Q1]) {
 				// A* was truncated; finish greedily along shortest paths.
-				inv := mapping.Inverse(dev.NumQubits())
+				inv := e.invert(mapping)
 				for !g.HasEdge(mapping[gt.Q0], mapping[gt.Q1]) {
 					p0, p1 := mapping[gt.Q0], mapping[gt.Q1]
 					for _, pn := range g.Neighbors(p0) {
@@ -202,8 +210,8 @@ func (r *Router) RoutePreparedCtx(ctx context.Context, p *router.Prepared) (*rou
 	if err != nil {
 		return nil, fmt.Errorf("qmap: %w", err)
 	}
-	r.stats.Decisions += e.cntPops - pops0
-	r.stats.Candidates += e.cntGen - gen0
+	r.stats.Decisions += e.cntPops
+	r.stats.Candidates += e.cntGen
 	r.stats.Restarts += int64(len(layers))
 	return &router.Result{
 		Tool:           r.Name(),
@@ -212,23 +220,6 @@ func (r *Router) RoutePreparedCtx(ctx context.Context, p *router.Prepared) (*rou
 		SwapCount:      swaps,
 		Trials:         1,
 	}, nil
-}
-
-// searchLayer keeps the historical entry point used by internal tests:
-// it runs the arena A* on a throwaway engine-backed search.
-func (r *Router) searchLayer(start router.Mapping, layer, next []int, dag *circuit.DAG, dev *arch.Device) ([][2]int, router.Mapping) {
-	e := r.ensureEngine(dev, len(start))
-	return e.searchLayer(r.opts, start, layer, next, dag)
-}
-
-func (r *Router) ensureEngine(dev *arch.Device, nQ int) *engine {
-	// Keyed on the device's coupling graph (immutable, so pointer
-	// identity suffices), not just sizes: a same-size different device
-	// must not inherit this one's adjacency, distances, or Zobrist keys.
-	if r.eng == nil || r.eng.g != dev.Graph() || r.eng.nQ != nQ {
-		r.eng = newEngine(dev, nQ)
-	}
-	return r.eng
 }
 
 // astate is an expanded A* node in the flat arena. To keep expansion
@@ -256,9 +247,11 @@ type heapEntry struct {
 	swap   [2]int16
 }
 
-// engine owns every piece of search scratch, sized once and reused
-// across layers and Route calls so steady-state expansion allocates
-// nothing.
+// engine owns every piece of search scratch. Engines live in a
+// package-level pool and outlast any one Router: acquireEngine binds one
+// to a device, rebuilding only the arrays sized by the register, and the
+// arena, heap, closed set and wave buffers keep their grown capacity, so
+// a warm Route allocates nothing for its search.
 type engine struct {
 	g    *graph.Graph
 	dist *graph.DistanceMatrix
@@ -269,7 +262,8 @@ type engine struct {
 	// value (direct engine users, background contexts) is inert.
 	check router.CtxChecker
 
-	// Work counters: node pops and successors generated.
+	// Work counters of the current Route: node pops and successors
+	// generated.
 	cntPops int64
 	cntGen  int64
 
@@ -322,44 +316,103 @@ type engine struct {
 	applied  [][2]int16
 	appliedN []int32
 	path     []int32
+
+	// out is the two-qubit skeleton under construction; only the woven
+	// circuit built from it escapes a Route.
+	out circuit.Circuit
 }
 
-func newEngine(dev *arch.Device, nQ int) *engine {
-	nP := dev.NumQubits()
-	return &engine{
-		g:        dev.Graph(),
-		dist:     dev.Distances(),
-		nQ:       nQ,
-		nP:       nP,
-		zob:      zobristFor(nQ, nP),
-		qStamp:   make([]int32, nQ),
-		qLGate:   make([]int32, nQ),
-		qNGate:   make([]int32, nQ),
-		candSeen: make([]int32, nQ*nQ),
-		m:        make(router.Mapping, nQ),
-		inv:      make([]int, nP),
+// engines recycles search engines across Routes and Routers. A pooled
+// engine's scratch is dropped at the next GC cycles if no Route reuses
+// it, so an idle process does not keep an Eagle-sized closed set alive.
+var engines sync.Pool
+
+// acquireEngine takes an engine from the pool, or makes one, and binds
+// it to dev for a register of nQ program qubits.
+func acquireEngine(dev *arch.Device, nQ int) *engine {
+	e, _ := engines.Get().(*engine)
+	if e == nil {
+		e = new(engine)
 	}
+	e.bind(dev, nQ)
+	return e
 }
 
-// searchLayer runs A* from the current mapping to one under which every
+// releaseEngine returns e to the pool. It drops the cancellation
+// context so a pooled engine does not pin it.
+func releaseEngine(e *engine) {
+	e.check = router.CtxChecker{}
+	engines.Put(e)
+}
+
+// bind points e at dev's coupling graph and distances. The Zobrist keys
+// and per-qubit arrays depend only on the register sizes, so they are
+// rebuilt only when (nQ, nP) changes; a same-size device reuses them,
+// since the keys are device-independent and every stamp array is
+// compared against a fresh epoch.
+func (e *engine) bind(dev *arch.Device, nQ int) {
+	nP := dev.NumQubits()
+	e.g, e.dist = dev.Graph(), dev.Distances()
+	if e.zob != nil && e.nQ == nQ && e.nP == nP {
+		return
+	}
+	e.nQ, e.nP = nQ, nP
+	e.zob = zobristFor(nQ, nP)
+	e.qStamp = make([]int32, nQ)
+	e.qLGate = make([]int32, nQ)
+	e.qNGate = make([]int32, nQ)
+	e.candSeen = make([]int32, nQ*nQ)
+	e.m = make(router.Mapping, nQ)
+	e.inv = make([]int, nP)
+	e.layerEpoch, e.expandEpoch = 0, 0
+}
+
+// nextEpoch advances an epoch counter whose stamps live in stamps. A
+// pooled engine lives as long as the process, so the counter can reach
+// math.MaxInt32; it then clears every stamp and restarts at 1, because
+// a wrapped counter would meet stale stamps and silently skip work.
+func nextEpoch(epoch *int32, stamps []int32) int32 {
+	if *epoch == math.MaxInt32 {
+		clear(stamps)
+		*epoch = 0
+	}
+	*epoch++
+	return *epoch
+}
+
+// invert rebuilds e.inv as the inverse of mapping and returns it.
+func (e *engine) invert(mapping router.Mapping) []int {
+	inv := e.inv
+	for i := range inv {
+		inv[i] = -1
+	}
+	for q, p := range mapping {
+		inv[p] = q
+	}
+	return inv
+}
+
+// searchLayer runs A* from the start mapping to one under which every
 // layer gate is executable. Candidate moves are SWAPs on coupler edges
-// touching the layer's qubits. Returns the swap sequence and final
-// mapping; on node exhaustion, the most promising expanded state.
+// touching the layer's qubits. It moves start in place to the final
+// mapping — on node exhaustion, the most promising expanded state — and
+// returns the swap sequence as a view of engine scratch, valid until the
+// next search.
 //
 // Each pop expands through enumerate → evaluate → merge phases. A
 // generated successor exists only as its heap entry until it is popped.
-func (e *engine) searchLayer(opts Options, start router.Mapping, layer, next []int, dag *circuit.DAG) ([][2]int, router.Mapping) {
+func (e *engine) searchLayer(opts Options, start router.Mapping, layer, next []int, dag *circuit.DAG) [][2]int16 {
 	g := e.g
 	dist := e.dist
 	nP := e.nP
 
 	// Flattened per-layer gate tables (one gate per qubit per table).
-	e.layerEpoch++
+	layerEpoch := nextEpoch(&e.layerEpoch, e.qStamp)
 	e.lq0, e.lq1 = e.lq0[:0], e.lq1[:0]
 	e.nq0, e.nq1 = e.nq0[:0], e.nq1[:0]
 	mark := func(q int) {
-		if e.qStamp[q] != e.layerEpoch {
-			e.qStamp[q] = e.layerEpoch
+		if e.qStamp[q] != layerEpoch {
+			e.qStamp[q] = layerEpoch
 			e.qLGate[q] = -1
 			e.qNGate[q] = -1
 		}
@@ -387,7 +440,7 @@ func (e *engine) searchLayer(opts Options, start router.Mapping, layer, next []i
 	e.curND = ensureI32(e.curND, nN)
 
 	if e.goal(layer, start, dag) {
-		return nil, start.Clone()
+		return nil
 	}
 
 	// Zobrist hash and integer excess sums of the start mapping.
@@ -425,13 +478,7 @@ func (e *engine) searchLayer(opts Options, start router.Mapping, layer, next []i
 	// Scratch mapping replayed per pop.
 	m := e.m[:len(start)]
 	copy(m, start)
-	inv := e.inv
-	for i := range inv {
-		inv[i] = -1
-	}
-	for q, p := range m {
-		inv[p] = q
-	}
+	inv := e.invert(m)
 	e.applied = e.applied[:0]
 	e.appliedN = e.appliedN[:0]
 
@@ -477,7 +524,8 @@ func (e *engine) searchLayer(opts Options, start router.Mapping, layer, next []i
 		}
 		if curX == 0 {
 			// Integer excess is exact: 0 ⇔ every layer gate at distance 1.
-			return e.appliedSeq(), m.Clone()
+			copy(start, m)
+			return e.applied
 		}
 		curH4 := e.states[cur].h4
 		if curH4 < e.states[bestFrontier].h4 {
@@ -504,7 +552,7 @@ func (e *engine) searchLayer(opts Options, start router.Mapping, layer, next []i
 
 		// Phase 1 — enumerate: SWAPs on coupler edges touching active
 		// qubits, deduplicated on the program pair, in canonical order.
-		e.expandEpoch++
+		expandEpoch := nextEpoch(&e.expandEpoch, e.candSeen)
 		curHash := e.states[cur].hash
 		e.wA, e.wB, e.wHash = e.wA[:0], e.wB[:0], e.wHash[:0]
 		for gi := 0; gi < nL; gi++ {
@@ -520,10 +568,10 @@ func (e *engine) searchLayer(opts Options, start router.Mapping, layer, next []i
 					if a > b {
 						a, b = b, a
 					}
-					if e.candSeen[a*e.nQ+b] == e.expandEpoch {
+					if e.candSeen[a*e.nQ+b] == expandEpoch {
 						continue
 					}
-					e.candSeen[a*e.nQ+b] = e.expandEpoch
+					e.candSeen[a*e.nQ+b] = expandEpoch
 					pa, pb := m[a], m[b]
 					nh := curHash ^ e.zob[a*nP+pa] ^ e.zob[a*nP+pb] ^ e.zob[b*nP+pb] ^ e.zob[b*nP+pa]
 					e.wA = append(e.wA, int32(a))
@@ -572,7 +620,8 @@ func (e *engine) searchLayer(opts Options, start router.Mapping, layer, next []i
 	// Exhausted: hand the most promising expanded state back; the caller
 	// finishes greedily.
 	e.apply(bestFrontier, m, inv)
-	return e.appliedSeq(), m.Clone()
+	copy(start, m)
+	return e.applied
 }
 
 // evalWave fills the evaluation columns for the wave's nw candidates:
@@ -779,19 +828,6 @@ func (e *engine) apply(target int32, m router.Mapping, inv []int) {
 	}
 }
 
-// appliedSeq copies the currently applied swap path out of the scratch
-// buffer (the per-layer return value).
-func (e *engine) appliedSeq() [][2]int {
-	if len(e.applied) == 0 {
-		return nil
-	}
-	out := make([][2]int, len(e.applied))
-	for i, sw := range e.applied {
-		out[i] = [2]int{int(sw[0]), int(sw[1])}
-	}
-	return out
-}
-
 // ensureI32 returns s resized to length n, reallocating only on growth.
 func ensureI32(s []int32, n int) []int32 {
 	if cap(s) < n {
@@ -872,6 +908,11 @@ type kslot struct {
 }
 
 func (s *u64set) reset() {
+	if s.epoch == math.MaxInt32 {
+		// Same wrap rule as nextEpoch: the stamps live in the slots.
+		clear(s.slots)
+		s.epoch = 0
+	}
 	s.epoch++
 	s.count = 0
 	if len(s.slots) == 0 {

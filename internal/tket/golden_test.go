@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/circuit"
 	"repro/internal/qubikos"
 	"repro/internal/router"
 	"repro/internal/tket"
@@ -57,36 +58,52 @@ func fingerprint(res *router.Result) uint64 {
 }
 
 // TestGoldenCorpus routes the pinned-seed corpus and compares against
-// the recorded pre-refactor expectations. Results are also re-validated
-// independently, so a fingerprint match can't hide an invalid routing.
+// the recorded pre-refactor expectations.
 func TestGoldenCorpus(t *testing.T) {
 	for _, gc := range goldenCases() {
 		gc := gc
 		t.Run(gc.name, func(t *testing.T) {
-			dev := gc.device()
-			b, err := qubikos.Generate(dev, qubikos.Options{
-				NumSwaps: gc.swaps, TargetTwoQubitGates: gc.gates, Seed: gc.seed,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := tket.New(gc.opts)
-			var res *router.Result
-			if gc.placed {
-				res, err = r.RouteFrom(b.Circuit, dev, b.InitialMapping)
-			} else {
-				res, err = r.Route(b.Circuit, dev)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := router.Validate(b.Circuit, dev, res); err != nil {
-				t.Fatalf("result no longer validates: %v", err)
-			}
-			if res.SwapCount != gc.want || fingerprint(res) != gc.print {
-				t.Errorf("swaps=%d print=%#x, pre-refactor engine produced swaps=%d print=%#x",
-					res.SwapCount, fingerprint(res), gc.want, gc.print)
+			if err := routeGolden(gc); err != nil {
+				t.Error(err)
 			}
 		})
 	}
+}
+
+// routeGolden routes gc on a fresh Router and reports any mismatch with
+// the recorded expectations. It reports instead of failing so that it
+// can run off the test goroutine.
+func routeGolden(gc goldenCase) error {
+	dev := gc.device()
+	b, err := qubikos.Generate(dev, qubikos.Options{
+		NumSwaps: gc.swaps, TargetTwoQubitGates: gc.gates, Seed: gc.seed,
+	})
+	if err != nil {
+		return err
+	}
+	r := tket.New(gc.opts)
+	var res *router.Result
+	if gc.placed {
+		res, err = r.RouteFrom(b.Circuit, dev, b.InitialMapping)
+	} else {
+		res, err = r.Route(b.Circuit, dev)
+	}
+	if err != nil {
+		return fmt.Errorf("%s: %w", gc.name, err)
+	}
+	return compareGolden(gc, b.Circuit, dev, res)
+}
+
+// compareGolden checks one routed result against gc's recorded
+// expectations. Results are also re-validated independently, so a
+// fingerprint match can't hide an invalid routing.
+func compareGolden(gc goldenCase, c *circuit.Circuit, dev *arch.Device, res *router.Result) error {
+	if err := router.Validate(c, dev, res); err != nil {
+		return fmt.Errorf("%s: result no longer validates: %w", gc.name, err)
+	}
+	if res.SwapCount != gc.want || fingerprint(res) != gc.print {
+		return fmt.Errorf("%s: swaps=%d print=%#x, pre-refactor engine produced swaps=%d print=%#x",
+			gc.name, res.SwapCount, fingerprint(res), gc.want, gc.print)
+	}
+	return nil
 }

@@ -134,3 +134,10 @@ func TestCandidatesTouchActiveQubits(t *testing.T) {
 		}
 	}
 }
+
+// newEngine returns an unpooled engine bound to dev.
+func newEngine(dev *arch.Device, lookahead int) *engine {
+	e := new(engine)
+	e.bind(dev, lookahead)
+	return e
+}

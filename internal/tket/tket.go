@@ -14,7 +14,8 @@
 // The swap-decision loop is allocation-free in steady state, in the
 // same style as the SABRE engine (see docs/performance.md): per-qubit
 // gate lists and candidate dedup live in epoch-stamped scratch reused
-// across decisions, and each candidate swap is scored as an integer
+// across decisions (and, through a package-level engine pool, across
+// Routes and Routers), and each candidate swap is scored as an integer
 // distance delta over the few gates touching the swapped qubits rather
 // than re-summing every slice. Sums stay in integers until the final
 // discount weighting, so scores — and therefore routing decisions —
@@ -25,8 +26,10 @@ package tket
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
@@ -55,20 +58,21 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Router is the t|ket⟩-style tool. A Router reuses its scratch buffers
-// across Route calls and is therefore not safe for concurrent use;
-// create one Router per goroutine (the harness builds one per job).
+// Router is the t|ket⟩-style tool. A Router keeps no decision scratch:
+// each Route borrows an engine from a package-level pool and returns it
+// when it finishes, so building a fresh Router per cell costs nothing.
+// Only the work counters are unsynchronized, plain fields; a Router must
+// therefore not Route on two goroutines at once, and Counters must not
+// be read while a Route is in flight. Distinct Routers are independent.
 type Router struct {
 	opts    Options
 	initial router.Mapping // non-nil: skip placement
-	eng     *engine        // scratch reused across calls on one device size
 	stats   router.Counters
 }
 
 // Counters implements router.Instrumented: Decisions are swap decisions,
 // Candidates the candidate SWAPs scored while making them, Restarts the
-// Route calls (the tool is single-attempt). Like Route itself, not safe
-// to call concurrently with Route.
+// Route calls (the tool is single-attempt).
 func (r *Router) Counters() router.Counters { return r.stats }
 
 // New returns a t|ket⟩-style router.
@@ -111,10 +115,18 @@ func (r *Router) RoutePreparedCtx(ctx context.Context, p *router.Prepared) (*rou
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("tket: %w", err)
 	}
-	dev := p.Device
-	skeleton := p.Skeleton
-	rng := rand.New(rand.NewSource(r.opts.Seed))
+	// The engine goes back to the pool on every return, errors included;
+	// a panicking route drops it rather than recycle half-updated scratch.
+	e := acquireEngine(p.Device, r.opts.LookaheadSlices)
+	res, err := r.route(ctx, p, e)
+	releaseEngine(e)
+	return res, err
+}
 
+// route runs the slice loop on a bound engine.
+func (r *Router) route(ctx context.Context, p *router.Prepared, e *engine) (*router.Result, error) {
+	e.check.Reset(ctx)
+	rng := rand.New(rand.NewSource(r.opts.Seed))
 	dag := p.DAG()
 	slices := p.Layers()
 
@@ -122,23 +134,15 @@ func (r *Router) RoutePreparedCtx(ctx context.Context, p *router.Prepared) (*rou
 	if r.initial != nil {
 		mapping = r.initial.Clone()
 	} else {
-		mapping = place(skeleton, dev, rng)
+		mapping = place(p.Skeleton, p.Device, rng)
 	}
 	initial := mapping.Clone()
-	lay := &layout{m: mapping, inv: mapping.Inverse(dev.NumQubits())}
-
-	// The cache key is the device's coupling graph (devices are
-	// immutable, so pointer identity suffices): matching on size alone
-	// would reuse another same-size device's adjacency and distances.
-	if r.eng == nil || r.eng.g != dev.Graph() {
-		r.eng = newEngine(dev, r.opts.LookaheadSlices)
-	}
-	e := r.eng
-	e.check.Reset(ctx)
+	lay := e.bindLayout(mapping)
 
 	g := e.g
 	dist := e.dist
-	out := circuit.New(skeleton.NumQubits)
+	out := &e.out
+	out.NumQubits, out.Gates = p.Skeleton.NumQubits, out.Gates[:0]
 	swaps := 0
 
 	for si := 0; si < len(slices); si++ {
@@ -247,7 +251,9 @@ func (l *layout) swap(qa, qb int) {
 // engine holds the decision loop's scratch. Everything is either
 // epoch-stamped (compared against the per-decision epoch instead of
 // being cleared) or length-reset with its backing array retained, so a
-// steady-state swap decision performs zero heap allocations.
+// steady-state swap decision performs zero heap allocations. Engines
+// live in a package-level pool and outlast any one Router, so a warm
+// Route allocates nothing for its decisions either.
 type engine struct {
 	g    *graph.Graph
 	dist *graph.DistanceMatrix
@@ -278,27 +284,85 @@ type engine struct {
 	delta []int64
 
 	pending []int // current-slice worklist (backing reused across slices)
+
+	// lay tracks the current mapping and its inverse; out is the
+	// two-qubit skeleton under construction. Only the woven circuit built
+	// from out escapes a Route.
+	lay layout
+	out circuit.Circuit
 }
 
-func newEngine(dev *arch.Device, lookahead int) *engine {
-	nQ := dev.NumQubits()
-	return &engine{
-		g:         dev.Graph(),
-		dist:      dev.Distances(),
-		nQ:        nQ,
-		candSeen:  make([]int32, nQ*nQ),
-		cands:     make([][2]int32, 0, dev.NumCouplers()),
-		listHead:  make([]int32, nQ),
-		listStamp: make([]int32, nQ),
-		base:      make([]int64, lookahead+1),
-		delta:     make([]int64, lookahead+1),
+// engines recycles decision engines across Routes and Routers. A pooled
+// engine is dropped at the next GC cycles if no Route reuses it.
+var engines sync.Pool
+
+// acquireEngine takes an engine from the pool, or makes one, and binds
+// it to dev with lookahead+1 slice-depth sums.
+func acquireEngine(dev *arch.Device, lookahead int) *engine {
+	e, _ := engines.Get().(*engine)
+	if e == nil {
+		e = new(engine)
 	}
+	e.bind(dev, lookahead)
+	return e
+}
+
+// releaseEngine returns e to the pool. It drops the cancellation
+// context and the mapping so a pooled engine pins neither.
+func releaseEngine(e *engine) {
+	e.check = router.CtxChecker{}
+	e.lay.m = nil
+	engines.Put(e)
+}
+
+// bind points e at dev's coupling graph and distances. The per-qubit
+// arrays depend only on the device size, so they are rebuilt only when
+// it changes; a same-size device reuses them, since every stamp is
+// compared against a fresh epoch.
+func (e *engine) bind(dev *arch.Device, lookahead int) {
+	e.g, e.dist = dev.Graph(), dev.Distances()
+	if len(e.base) != lookahead+1 {
+		e.base = make([]int64, lookahead+1)
+		e.delta = make([]int64, lookahead+1)
+	}
+	nQ := dev.NumQubits()
+	if e.candSeen != nil && e.nQ == nQ {
+		return
+	}
+	e.nQ = nQ
+	e.candSeen = make([]int32, nQ*nQ)
+	e.listHead = make([]int32, nQ)
+	e.listStamp = make([]int32, nQ)
+	e.lay.inv = make([]int, nQ)
+	e.epoch = 0
+}
+
+// bindLayout points e.lay at mapping, with its inverse rebuilt in the
+// engine's buffer.
+func (e *engine) bindLayout(mapping router.Mapping) *layout {
+	inv := e.lay.inv
+	for i := range inv {
+		inv[i] = -1
+	}
+	for q, p := range mapping {
+		inv[p] = q
+	}
+	e.lay.m = mapping
+	return &e.lay
 }
 
 // beginDecision opens a new decision epoch and records the base
 // distance sums and per-qubit gate lists for the pending gates and the
-// lookahead slices.
+// lookahead slices. A pooled engine lives as long as the process, so the
+// epoch can reach math.MaxInt32; it then clears both stamp arrays and
+// restarts at 1, because a wrapped epoch would meet stale stamps and
+// silently skip candidates.
 func (e *engine) beginDecision(pending []int, slices [][]int, si int, dag *circuit.DAG, lay *layout, lookahead int) {
+	if e.epoch == math.MaxInt32 {
+		clear(e.candSeen)
+		clear(e.listStamp)
+		e.epoch = 0
+	}
 	e.epoch++
 	for i := range e.base {
 		e.base[i] = 0
