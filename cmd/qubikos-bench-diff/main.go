@@ -13,11 +13,13 @@
 // counts are reported but advisory only: worker goroutines make them
 // vary with GOMAXPROCS, and CI runs the smoke at more than one setting.
 //
-// Snapshot numbers are recorded at a longer -benchtime than the CI
-// smoke's -benchtime=1x, and CI machines differ from the recording
-// machine, so the threshold is a coarse tripwire for order-of-magnitude
-// mistakes (an accidental O(n^2), a lost cache), not a microbenchmark
-// judge. Loosen it with -threshold on noisy runners.
+// The gated snapshot rows are recorded at the CI smoke's -benchtime=1x,
+// as medians of several runs: a single iteration routes only the
+// benchmark's first seed from a cold start, which a many-iteration mean
+// would understate several-fold. CI machines still differ from the
+// recording machine, so the threshold is a coarse tripwire for
+// order-of-magnitude mistakes (an accidental O(n^2), a lost cache), not
+// a microbenchmark judge. Loosen it with -threshold on noisy runners.
 //
 // Usage:
 //

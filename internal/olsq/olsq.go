@@ -25,6 +25,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/circuit"
@@ -56,9 +57,45 @@ type Solver struct {
 	circ *circuit.Circuit
 	dev  *arch.Device
 	dag  *circuit.DAG
-	// inc is the persistent incremental encoding (largest bound seen so
-	// far); learned clauses and VSIDS activity carry across Decide calls.
+	// inc is the incremental encoding (largest bound seen so far);
+	// learned clauses and VSIDS activity carry across Decide calls.
 	inc *encoding
+	// spent sums the counters of SAT solvers already returned to the
+	// pool.
+	spent sat.Stats
+}
+
+// solvers pools SAT solvers across exact solvers. A certification's
+// arena, watch lists and per-variable tables are then reused by the
+// next one instead of becoming garbage; a reset solver searches exactly
+// as a new one does, so no verdict, witness or counter changes.
+var solvers = sync.Pool{New: func() any { return sat.NewSolver() }}
+
+// release folds sv's counters into SolverStats and returns it to the
+// pool.
+func (s *Solver) release(sv *sat.Solver) {
+	s.spent = s.spent.Add(sv.Stats())
+	sv.Reset()
+	solvers.Put(sv)
+}
+
+// borrow gives a VerifyOptimal or MinSwaps call that finds no
+// incremental encoding one on a pooled SAT solver, and reports whether
+// it did; the call then hands it back with unborrow when it returns. An
+// encoding a manual Decide sweep built stays in place, so that sweep
+// stays incremental.
+func (s *Solver) borrow() bool {
+	if s.opts.NonIncremental || s.inc != nil {
+		return false
+	}
+	s.inc = s.newEncoding()
+	s.inc.solver = solvers.Get().(*sat.Solver)
+	return true
+}
+
+func (s *Solver) unborrow() {
+	s.release(s.inc.solver)
+	s.inc = nil
 }
 
 // New prepares an exact solver. The circuit may contain single-qubit
@@ -87,15 +124,15 @@ type Result struct {
 	SwapEdges []*graph.Edge
 }
 
-// SolverStats returns the search-effort counters of the underlying
-// incremental SAT solver, accumulated across every Decide/MinSwaps/
-// VerifyOptimal call on this Solver. Before the first solve it returns
-// the zero value.
+// SolverStats returns the search-effort counters of every SAT solver
+// this Solver has used, accumulated across every Decide/MinSwaps/
+// VerifyOptimal call on it, on the incremental and the NonIncremental
+// path alike. Before the first solve it returns the zero value.
 func (s *Solver) SolverStats() sat.Stats {
-	if s.inc == nil || s.inc.solver == nil {
-		return sat.Stats{}
+	if s.inc == nil {
+		return s.spent
 	}
-	return s.inc.solver.Stats()
+	return s.spent.Add(s.inc.solver.Stats())
 }
 
 // ensureEncoded returns the persistent incremental encoding, growing it
@@ -169,9 +206,12 @@ func (s *Solver) DecideCtx(ctx context.Context, k int) (bool, *Result, error) {
 
 // decideFresh is the legacy per-bound path: encode at exactly k, assert
 // every activation and the finalization literal, and solve on a cold
-// solver.
+// (new or reset) solver.
 func (s *Solver) decideFresh(ctx context.Context, k int) (bool, *Result, error) {
-	enc := s.encode(k)
+	sv := solvers.Get().(*sat.Solver)
+	defer s.release(sv)
+	enc := s.encodeInto(sv, k)
+	enc.solver = sv
 	for _, a := range enc.act {
 		if err := enc.solver.AddClause(a); err != nil {
 			return false, nil, err
@@ -200,10 +240,12 @@ func (s *Solver) decideFresh(ctx context.Context, k int) (bool, *Result, error) 
 
 // MinSwaps finds the minimal SWAP count in [0, maxK] by linear search
 // (each infeasible k is a full UNSAT proof, matching how OLSQ2 certifies
-// optimality). The default incremental path grows one persistent encoding
-// block by block, so each bound reuses everything learned at the bounds
-// below it. With Options.UseLowerBound the search starts at LowerBound()
-// instead of 0. It returns an error if even maxK is infeasible.
+// optimality). The default incremental path grows one encoding block by
+// block, so each bound reuses everything learned at the bounds below it;
+// on a Solver with no encoding yet, that encoding lives on a pooled SAT
+// solver for the length of the call. With Options.UseLowerBound the
+// search starts at LowerBound() instead of 0. It returns an error if
+// even maxK is infeasible.
 func (s *Solver) MinSwaps(maxK int) (*Result, error) {
 	return s.MinSwapsCtx(context.Background(), maxK)
 }
@@ -211,6 +253,9 @@ func (s *Solver) MinSwaps(maxK int) (*Result, error) {
 // MinSwapsCtx is MinSwaps under a cancellation context, checked before
 // each bound and propagated into each Decide's SAT search.
 func (s *Solver) MinSwapsCtx(ctx context.Context, maxK int) (*Result, error) {
+	if s.borrow() {
+		defer s.unborrow()
+	}
 	start := 0
 	if s.opts.UseLowerBound {
 		lb := s.LowerBound()
@@ -295,8 +340,9 @@ const lowerBoundVF2Nodes = 2_000_000
 // VerifyOptimal certifies that the circuit's optimal SWAP count is exactly
 // n: satisfiable at n and (for n > 0) unsatisfiable at n-1. Because the
 // encoding permits unused transitions, "≤ n-1 UNSAT" covers every count
-// below n. Both checks run on the same persistent solver: the n-1 UNSAT
-// proof's learned clauses are reused by the satisfiable check at n.
+// below n. Both checks run on the same solver: the n-1 UNSAT proof's
+// learned clauses are reused by the satisfiable check at n. On a Solver
+// with no encoding yet, that solver is pooled and borrowed for the call.
 func (s *Solver) VerifyOptimal(n int) error {
 	return s.VerifyOptimalCtx(context.Background(), n)
 }
@@ -305,6 +351,9 @@ func (s *Solver) VerifyOptimal(n int) error {
 // decisions run their SAT searches with the context's deadline
 // alongside any conflict budget.
 func (s *Solver) VerifyOptimalCtx(ctx context.Context, n int) error {
+	if s.borrow() {
+		defer s.unborrow()
+	}
 	if n > 0 {
 		ok, _, err := s.DecideCtx(ctx, n-1)
 		if err != nil {
@@ -349,13 +398,6 @@ type encoding struct {
 	// clause learned at smaller bounds stays sound.
 	fin   []sat.Lit
 	edges []graph.Edge
-}
-
-func (s *Solver) encode(k int) *encoding {
-	sv := sat.NewSolver()
-	enc := s.encodeInto(sv, k)
-	enc.solver = sv
-	return enc
 }
 
 // encodeInto builds the ≤k-SWAP decision formula against any clause sink

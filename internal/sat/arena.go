@@ -67,6 +67,9 @@ type clauseArena struct {
 
 // alloc stores a clause and returns its reference.
 func (a *clauseArena) alloc(lits []plit, learned bool) cref {
+	if len(a.data) >= int(binTag) {
+		panic("sat: clause arena exceeds 2^31 words") // watchers tag refs with bit 31
+	}
 	c := cref(len(a.data))
 	hdr := uint32(len(lits)) << hdrSizeShift
 	if learned {

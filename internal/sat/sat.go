@@ -1,18 +1,20 @@
 // Package sat implements a CDCL (conflict-driven clause learning) SAT
 // solver from scratch, sufficient to power the OLSQ2-style exact layout
 // synthesis used to verify QUBIKOS optimality. Features: two-watched-
-// literal propagation, first-UIP clause learning with recursive
-// minimization, VSIDS-style activity ordering, phase saving, Luby
-// restarts, and LBD-based learned-clause database reduction.
+// literal propagation with inline binary clauses, first-UIP clause
+// learning with local (one-level) minimization, VSIDS-style activity
+// ordering, phase saving, Luby restarts, and LBD-based learned-clause
+// database reduction.
 //
 // The public interface speaks 1-based signed literals (+v / -v);
 // internally the solver is laid out MiniSat-style for speed: literals
 // are packed as 2v / 2v+1, all clause literals live in a single flat
-// arena addressed by uint32 clause references (see arena.go), and the
-// watch table is a flat slice indexed by packed literal. The search
-// loop performs no map lookups and — once slice capacities are warm —
-// no heap allocations, which is what makes repeated assumption-based
-// solving (SolveAssuming across many swap bounds) cheap.
+// arena addressed by uint32 clause references (see arena.go), and both
+// the assignment and the watch table are flat slices indexed by packed
+// literal. The search loop performs no map lookups and — once slice
+// capacities are warm — no heap allocations, which is what makes
+// repeated assumption-based solving (SolveAssuming across many swap
+// bounds) cheap.
 package sat
 
 import (
@@ -76,6 +78,12 @@ type watcher struct {
 	blocker plit
 }
 
+// binTag marks the watcher of a binary clause. Its blocker is the
+// clause's other literal, so propagation decides the clause from the
+// watcher alone without loading it from the arena. Arena references
+// stay below the tag bit (see clauseArena.alloc).
+const binTag cref = 1 << 31
+
 // Solver is a CDCL SAT solver. Create with NewSolver, add clauses with
 // AddClause, then call Solve or SolveAssuming. A solver whose formula was
 // proven unsatisfiable stays unsatisfiable; more clauses may still be
@@ -87,7 +95,7 @@ type Solver struct {
 	learnts []cref
 	watches [][]watcher // indexed by packed literal
 
-	assign  []lbool // var -> value
+	val     []lbool // packed literal -> value; both polarities are kept
 	level   []int32 // var -> decision level
 	reasonC []cref  // var -> implying clause, crefUndef when none
 	trail   []plit
@@ -125,29 +133,60 @@ type Solver struct {
 
 // NewSolver returns a solver with no variables or clauses.
 func NewSolver() *Solver {
-	s := &Solver{
+	s := new(Solver)
+	s.Reset()
+	return s
+}
+
+// Reset returns the solver to the state NewSolver gives — no variables,
+// no clauses, zeroed counters and Budget — while keeping the capacity of
+// every buffer: the clause arena, the watch lists and the per-variable
+// tables. A reset solver searches exactly as a new one does, so solvers
+// can be pooled across formulas without changing any result.
+func (s *Solver) Reset() {
+	*s = Solver{
+		ca:         clauseArena{data: s.ca.data[:0]},
+		clauses:    s.clauses[:0],
+		learnts:    s.learnts[:0],
+		watches:    s.watches[:0],
+		val:        s.val[:0],
+		level:      s.level[:0],
+		reasonC:    s.reasonC[:0],
+		trail:      s.trail[:0],
+		trailLi:    s.trailLi[:0],
+		phase:      s.phase[:0],
+		activity:   s.activity[:0],
 		varInc:     1.0,
+		order:      varHeap{heap: s.order.heap[:0], pos: s.order.pos[:0]},
 		claInc:     1.0,
 		maxLearnts: 4000,
+		seen:       s.seen[:0],
+		analyzeTs:  s.analyzeTs[:0],
+		learntBuf:  s.learntBuf[:0],
+		addBuf:     s.addBuf[:0],
+		packBuf:    s.packBuf[:0],
+		assumeBuf:  s.assumeBuf[:0],
+		lbdStamp:   s.lbdStamp[:0],
 	}
 	s.order.s = s
 	// Index 0 is unused for variables; packed literals 0 and 1 likewise.
-	s.assign = append(s.assign, lUndef)
-	s.level = append(s.level, 0)
-	s.reasonC = append(s.reasonC, crefUndef)
-	s.phase = append(s.phase, false)
-	s.activity = append(s.activity, 0)
-	s.seen = append(s.seen, false)
-	s.lbdStamp = append(s.lbdStamp, 0)
-	s.order.pos = append(s.order.pos, -1)
-	s.watches = append(s.watches, nil, nil)
-	return s
+	s.growVar()
 }
 
 // NewVar allocates a fresh variable and returns its index (1-based).
 func (s *Solver) NewVar() int {
 	s.nVars++
-	s.assign = append(s.assign, lUndef)
+	s.growVar()
+	s.order.pushIfAbsent(s.nVars)
+	return s.nVars
+}
+
+// growVar appends one variable's slot to every per-variable table. The
+// appends overwrite whatever a Reset left beyond each slice's length;
+// the two watch lists are truncated in place so they keep their
+// capacity.
+func (s *Solver) growVar() {
+	s.val = append(s.val, lUndef, lUndef)
 	s.level = append(s.level, 0)
 	s.reasonC = append(s.reasonC, crefUndef)
 	s.phase = append(s.phase, false)
@@ -155,9 +194,13 @@ func (s *Solver) NewVar() int {
 	s.seen = append(s.seen, false)
 	s.lbdStamp = append(s.lbdStamp, 0)
 	s.order.pos = append(s.order.pos, -1)
-	s.watches = append(s.watches, nil, nil)
-	s.order.pushIfAbsent(s.nVars)
-	return s.nVars
+	if n := len(s.watches); n+2 <= cap(s.watches) {
+		s.watches = s.watches[:n+2]
+		s.watches[n] = s.watches[n][:0]
+		s.watches[n+1] = s.watches[n+1][:0]
+	} else {
+		s.watches = append(s.watches, nil, nil)
+	}
 }
 
 // NumVars returns the number of allocated variables.
@@ -171,6 +214,17 @@ type Stats struct {
 	Propagations int64
 	Restarts     int64 // Luby restarts taken
 	Learned      int64 // learnt clauses added (unit learnts included)
+}
+
+// Add returns the element-wise sum of two snapshots.
+func (st Stats) Add(o Stats) Stats {
+	return Stats{
+		Conflicts:    st.Conflicts + o.Conflicts,
+		Decisions:    st.Decisions + o.Decisions,
+		Propagations: st.Propagations + o.Propagations,
+		Restarts:     st.Restarts + o.Restarts,
+		Learned:      st.Learned + o.Learned,
+	}
 }
 
 // Stats returns the counters accumulated so far.
@@ -199,19 +253,21 @@ func (s *Solver) AddClause(lits ...Lit) error {
 	// Normalize: sort, dedupe, detect tautology, drop level-0 false lits.
 	ls := append(s.addBuf[:0], lits...)
 	s.addBuf = ls
+	for _, l := range ls {
+		if v := l.Var(); v < 1 || v > s.nVars {
+			return fmt.Errorf("sat: literal %d references unallocated variable", l)
+		}
+	}
 	slices.Sort(ls)
+	if s.tautology(ls) {
+		return nil
+	}
 	out := ls[:0]
 	var prev Lit
 	for _, l := range ls {
 		v := l.Var()
-		if v < 1 || v > s.nVars {
-			return fmt.Errorf("sat: literal %d references unallocated variable", l)
-		}
 		if l == prev {
 			continue
-		}
-		if l == -prev && prev != 0 {
-			return nil // tautology: contains v and -v
 		}
 		switch s.valueLit(l) {
 		case lTrue:
@@ -254,76 +310,109 @@ func (s *Solver) AddClause(lits ...Lit) error {
 	return nil
 }
 
+// tautology reports whether the sorted clause contains some v and -v.
+// Sorting by signed value makes duplicate literals adjacent but not
+// complementary ones (3, -3, 1 sorts to -3, 1, 3), so each variable is
+// marked in seen, which is all false outside conflict analysis.
+func (s *Solver) tautology(ls []Lit) bool {
+	taut := false
+	for i, l := range ls {
+		if i > 0 && l == ls[i-1] {
+			continue
+		}
+		v := l.Var()
+		taut = taut || s.seen[v]
+		s.seen[v] = true
+	}
+	for _, l := range ls {
+		s.seen[l.Var()] = false
+	}
+	return taut
+}
+
 // attach registers the clause's first two literals in the watch table.
 func (s *Solver) attach(c cref) {
 	ls := s.ca.lits(c)
 	l0, l1 := plit(ls[0]), plit(ls[1])
-	s.watches[l0.neg()] = append(s.watches[l0.neg()], watcher{c, l1})
-	s.watches[l1.neg()] = append(s.watches[l1.neg()], watcher{c, l0})
+	wc := c
+	if len(ls) == 2 {
+		wc |= binTag
+	}
+	s.watches[l0.neg()] = append(s.watches[l0.neg()], watcher{wc, l1})
+	s.watches[l1.neg()] = append(s.watches[l1.neg()], watcher{wc, l0})
 }
 
-func (s *Solver) valueLit(l Lit) lbool {
-	v := s.assign[l.Var()]
-	if v == lUndef {
-		return lUndef
-	}
-	if l.Sign() == (v == lTrue) {
-		return lTrue
-	}
-	return lFalse
-}
+func (s *Solver) valueLit(l Lit) lbool { return s.val[packLit(l)] }
 
-func (s *Solver) valueP(p plit) lbool {
-	v := s.assign[p>>1]
-	if v == lUndef {
-		return lUndef
-	}
-	if (p&1 == 0) == (v == lTrue) {
-		return lTrue
-	}
-	return lFalse
-}
+func (s *Solver) valueP(p plit) lbool { return s.val[p] }
 
 // Value returns the model value of variable v after a Sat result.
-func (s *Solver) Value(v int) bool { return s.assign[v] == lTrue }
+func (s *Solver) Value(v int) bool { return s.val[v<<1] == lTrue }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLi) }
 
 func (s *Solver) enqueue(p plit, from cref) bool {
-	switch s.valueP(p) {
+	switch s.val[p] {
 	case lTrue:
 		return true
 	case lFalse:
 		return false
 	}
+	s.assign(p, int32(s.decisionLevel()), from)
+	return true
+}
+
+// assign makes the unassigned literal p true at the given level.
+func (s *Solver) assign(p plit, level int32, from cref) {
 	v := p.varIdx()
-	if p.pos() {
-		s.assign[v] = lTrue
-	} else {
-		s.assign[v] = lFalse
-	}
-	s.level[v] = int32(s.decisionLevel())
+	s.val[p] = lTrue
+	s.val[p.neg()] = lFalse
+	s.level[v] = level
 	s.reasonC[v] = from
 	s.phase[v] = p.pos()
 	s.trail = append(s.trail, p)
-	return true
 }
 
 // propagate runs unit propagation; returns the conflicting clause or
 // crefUndef. The inner loop touches only flat slices: no maps, no
 // per-clause pointers, no allocations beyond amortized watch-list growth.
+//
+// Binary clauses never leave the watcher: a true blocker skips the
+// clause, an unassigned one is implied and a false one is a conflict.
+// Unlike a long clause, a binary reason is therefore not reordered to
+// put its implied literal first (analyze skips it by variable). A
+// binary conflict is written to the arena as (other, falsified), the
+// order a long conflicting clause is left in, because conflict analysis
+// visits the literals in arena order.
 func (s *Solver) propagate() cref {
+	val := s.val
+	level := int32(s.decisionLevel())
 	for s.propHead < len(s.trail) {
 		p := s.trail[s.propHead]
 		s.propHead++
 		s.propagations++
 		np := p.neg() // the literal that just became false
 		ws := s.watches[p]
-		kept := ws[:0]
+		j := 0
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if s.valueP(w.blocker) == lTrue {
-				kept = append(kept, w)
+			if val[w.blocker] == lTrue {
+				ws[j] = w
+				j++
+				continue
+			}
+			if w.c&binTag != 0 {
+				ws[j] = w
+				j++
+				c := w.c &^ binTag
+				if val[w.blocker] == lFalse {
+					ls := s.ca.lits(c)
+					ls[0], ls[1] = uint32(w.blocker), uint32(np)
+					s.watches[p] = ws[:j+copy(ws[j:], ws[i+1:])]
+					s.propHead = len(s.trail)
+					return c
+				}
+				s.assign(w.blocker, level, c)
 				continue
 			}
 			c := w.c
@@ -333,14 +422,15 @@ func (s *Solver) propagate() cref {
 				ls[0], ls[1] = ls[1], ls[0]
 			}
 			first := plit(ls[0])
-			if first != w.blocker && s.valueP(first) == lTrue {
-				kept = append(kept, watcher{c, first})
+			if first != w.blocker && val[first] == lTrue {
+				ws[j] = watcher{c, first}
+				j++
 				continue
 			}
 			// Find a new literal to watch.
 			found := false
 			for k := 2; k < len(ls); k++ {
-				if s.valueP(plit(ls[k])) != lFalse {
+				if val[ls[k]] != lFalse {
 					ls[1], ls[k] = ls[k], ls[1]
 					nw := plit(ls[1]).neg()
 					s.watches[nw] = append(s.watches[nw], watcher{c, first})
@@ -352,19 +442,17 @@ func (s *Solver) propagate() cref {
 				continue
 			}
 			// Clause is unit or conflicting.
-			kept = append(kept, watcher{c, first})
-			if s.valueP(first) == lFalse {
-				// Conflict: restore remaining watchers and bail.
-				kept = append(kept, ws[i+1:]...)
-				s.watches[p] = kept
+			ws[j] = watcher{c, first}
+			j++
+			if val[first] == lFalse {
+				// Conflict: keep the remaining watchers and bail.
+				s.watches[p] = ws[:j+copy(ws[j:], ws[i+1:])]
 				s.propHead = len(s.trail)
 				return c
 			}
-			if !s.enqueue(first, c) {
-				panic("sat: enqueue of unit literal failed") // unreachable
-			}
+			s.assign(first, level, c)
 		}
-		s.watches[p] = kept
+		s.watches[p] = ws[:j]
 	}
 	return crefUndef
 }
@@ -381,18 +469,18 @@ func (s *Solver) analyze(confl cref) ([]plit, int) {
 
 	c := confl
 	for {
-		start := 0
-		if p != 0 {
-			start = 1
-		}
 		if s.ca.learned(c) {
 			s.bumpClause(c)
 		}
-		ls := s.ca.lits(c)
-		for _, qw := range ls[start:] {
+		// A reason clause's implied literal is p, skipped by variable:
+		// binary reasons are not reordered to put it first. The conflict
+		// clause (p == 0) has no implied literal, and no literal on
+		// variable 0.
+		pv := p.varIdx()
+		for _, qw := range s.ca.lits(c) {
 			q := plit(qw)
 			v := q.varIdx()
-			if s.seen[v] || s.level[v] == 0 {
+			if v == pv || s.seen[v] || s.level[v] == 0 {
 				continue
 			}
 			s.seen[v] = true
@@ -450,8 +538,10 @@ func (s *Solver) analyze(confl cref) ([]plit, int) {
 }
 
 // redundant reports whether literal q in a learned clause is implied by
-// the others (simple non-recursive check: q's reason exists and all its
-// literals are already seen or at level 0).
+// the others. The check is local, one level deep: q's reason exists and
+// all its other literals are already seen or at level 0. (MiniSat's
+// recursive minimization would drop more literals and so learn
+// different clauses.)
 func (s *Solver) redundant(q plit) bool {
 	v := q.varIdx()
 	r := s.reasonC[v]
@@ -476,8 +566,9 @@ func (s *Solver) backtrackTo(level int) {
 	}
 	bound := s.trailLi[level]
 	for i := len(s.trail) - 1; i >= bound; i-- {
-		v := s.trail[i].varIdx()
-		s.assign[v] = lUndef
+		p := s.trail[i]
+		v := p.varIdx()
+		s.val[p], s.val[p.neg()] = lUndef, lUndef
 		s.reasonC[v] = crefUndef
 		s.order.pushIfAbsent(v)
 	}
@@ -582,7 +673,7 @@ func (s *Solver) removeWatch(w plit, c cref) {
 	ws := s.watches[w]
 	out := ws[:0]
 	for _, x := range ws {
-		if x.c != c {
+		if x.c&^binTag != c {
 			out = append(out, x)
 		}
 	}
@@ -621,7 +712,7 @@ func (s *Solver) garbageCollect() {
 	for i := range s.watches {
 		ws := s.watches[i]
 		for j := range ws {
-			ws[j].c = move(ws[j].c)
+			ws[j].c = move(ws[j].c&^binTag) | ws[j].c&binTag
 		}
 	}
 	s.ca = to
@@ -815,7 +906,7 @@ func (s *Solver) pickBranchVar() int {
 		if v == 0 {
 			return 0
 		}
-		if s.assign[v] == lUndef {
+		if s.val[v<<1] == lUndef {
 			return v
 		}
 	}
@@ -824,14 +915,14 @@ func (s *Solver) pickBranchVar() int {
 // varHeap is a max-heap of variables ordered by activity. pos holds each
 // variable's heap index (-1 when absent), so membership checks — needed
 // every time backtracking re-inserts variables — are O(1) array reads
-// and the heap can never accumulate duplicates.
+// and the heap can never accumulate duplicates. Sifting moves a hole
+// rather than swapping pairs; the comparisons, and so the resulting
+// array, are those of the swapping version.
 type varHeap struct {
 	s    *Solver
 	heap []int32
 	pos  []int32 // var -> heap index, -1 when absent
 }
-
-func (h *varHeap) less(a, b int32) bool { return h.s.activity[a] > h.s.activity[b] }
 
 func (h *varHeap) inHeap(v int) bool { return h.pos[v] >= 0 }
 
@@ -861,45 +952,50 @@ func (h *varHeap) pop() int {
 	return int(top)
 }
 
+// update restores the heap after v's activity was raised. A bump only
+// raises activity (rescaling multiplies every activity alike), so v can
+// only move up.
 func (h *varHeap) update(v int) {
 	if i := h.pos[v]; i >= 0 {
 		h.up(int(i))
-		h.down(int(h.pos[v]))
 	}
 }
 
 func (h *varHeap) up(i int) {
+	act := h.s.activity
+	v := h.heap[i]
 	for i > 0 {
 		p := (i - 1) / 2
-		if !h.less(h.heap[i], h.heap[p]) {
+		if !(act[v] > act[h.heap[p]]) {
 			break
 		}
-		h.swap(i, p)
+		h.heap[i] = h.heap[p]
+		h.pos[h.heap[i]] = int32(i)
 		i = p
 	}
+	h.heap[i] = v
+	h.pos[v] = int32(i)
 }
 
 func (h *varHeap) down(i int) {
+	act := h.s.activity
+	v := h.heap[i]
 	n := len(h.heap)
 	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < n && h.less(h.heap[l], h.heap[best]) {
-			best = l
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if r < n && h.less(h.heap[r], h.heap[best]) {
-			best = r
+		if r := c + 1; r < n && act[h.heap[r]] > act[h.heap[c]] {
+			c = r
 		}
-		if best == i {
-			return
+		if !(act[h.heap[c]] > act[v]) {
+			break
 		}
-		h.swap(i, best)
-		i = best
+		h.heap[i] = h.heap[c]
+		h.pos[h.heap[i]] = int32(i)
+		i = c
 	}
-}
-
-func (h *varHeap) swap(i, j int) {
-	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
-	h.pos[h.heap[i]] = int32(i)
-	h.pos[h.heap[j]] = int32(j)
+	h.heap[i] = v
+	h.pos[v] = int32(i)
 }

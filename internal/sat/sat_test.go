@@ -69,6 +69,17 @@ func TestTautologyDropped(t *testing.T) {
 	if s.Solve() != Sat {
 		t.Fatal("tautology-only formula should be SAT")
 	}
+
+	// Literals sort by signed value, so another literal can sit between
+	// v and -v: (3, -3, 1) sorts to (-3, 1, 3).
+	for _, cl := range [][]Lit{{3, -3, 1}, {-2, 1, 2}, {1, 3, 2, -3, 1}, {-1, 2, -3, 1}} {
+		s := NewSolver()
+		newVars(s, 3)
+		mustAdd(t, s, cl...)
+		if len(s.clauses) != 0 || len(s.trail) != 0 {
+			t.Errorf("tautology %v stored: %d clauses, %d level-0 units", cl, len(s.clauses), len(s.trail))
+		}
+	}
 }
 
 func TestDuplicateLiteralsMerged(t *testing.T) {
@@ -647,5 +658,91 @@ func TestSolveCtxBackgroundMatchesSolve(t *testing.T) {
 		if got, want := a.SolveCtx(context.Background()), b.Solve(); got != want {
 			t.Fatalf("PHP(%d): SolveCtx=%v Solve=%v", n, got, want)
 		}
+	}
+}
+
+// randomCNF returns a random formula over n variables near the 3-SAT
+// threshold, with some binary and some longer clauses, so that a solve
+// takes a few hundred conflicts.
+func randomCNF(rng *rand.Rand, n int) [][]Lit {
+	var cnf [][]Lit
+	for c := 0; c < n*41/10; c++ {
+		k := 3
+		switch rng.Intn(10) {
+		case 0:
+			k = 2
+		case 1:
+			k = 4
+		}
+		cl := make([]Lit, k)
+		for i := range cl {
+			cl[i] = Lit(1 + rng.Intn(n))
+			if rng.Intn(2) == 0 {
+				cl[i] = -cl[i]
+			}
+		}
+		cnf = append(cnf, cl)
+	}
+	return cnf
+}
+
+func loadCNF(t *testing.T, s *Solver, n int, cnf [][]Lit) {
+	t.Helper()
+	newVars(s, n)
+	for _, cl := range cnf {
+		mustAdd(t, s, cl...)
+	}
+}
+
+// Property test: a solver that solved one formula — learning clauses,
+// reducing its learned-clause database and compacting its arena — and
+// was then Reset solves the next formula exactly as a new solver does:
+// same verdicts, same model, same counters.
+func TestResetMatchesNewSolver(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	firstVerdicts := map[Status]int{}
+	for iter := 0; iter < 40; iter++ {
+		// The first formula must learn enough clauses to pass through
+		// reduceDB; easy random formulas are drawn again.
+		var used *Solver
+		var first Status
+		for used == nil || used.maxLearnts == 20 {
+			if iter%4 == 0 {
+				used = pigeonhole(5 + iter%3)
+			} else {
+				used = NewSolver()
+				n := 80 + rng.Intn(60)
+				loadCNF(t, used, n, randomCNF(rng, n))
+			}
+			used.maxLearnts = 20 // reach reduceDB on a small formula
+			first = used.Solve()
+		}
+		firstVerdicts[first]++
+		used.garbageCollect()
+		used.Reset()
+
+		n := 60 + rng.Intn(100) // smaller and larger than the first formula
+		cnf := randomCNF(rng, n)
+		fresh := NewSolver()
+		loadCNF(t, fresh, n, cnf)
+		loadCNF(t, used, n, cnf)
+		asm := []Lit{Lit(1 + rng.Intn(n)), -Lit(1 + rng.Intn(n))}
+		for q, a := range [][]Lit{nil, asm, nil} {
+			want, got := fresh.SolveAssuming(a), used.SolveAssuming(a)
+			if got != want {
+				t.Fatalf("iter %d query %d: reset solver %v, new solver %v", iter, q, got, want)
+			}
+			if gs, ws := used.Stats(), fresh.Stats(); gs != ws {
+				t.Fatalf("iter %d query %d: reset solver counters %+v, new solver %+v", iter, q, gs, ws)
+			}
+			for v := 1; v <= n && want == Sat; v++ {
+				if used.Value(v) != fresh.Value(v) {
+					t.Fatalf("iter %d query %d: models differ at variable %d", iter, q, v)
+				}
+			}
+		}
+	}
+	if firstVerdicts[Sat] == 0 || firstVerdicts[Unsat] == 0 {
+		t.Fatalf("first formulas were not both SAT and UNSAT: %v", firstVerdicts)
 	}
 }
