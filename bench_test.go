@@ -9,6 +9,7 @@
 package repro_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/arch"
@@ -21,9 +22,29 @@ import (
 	"repro/internal/router"
 	"repro/internal/sabre"
 	"repro/internal/sat"
+	"repro/internal/suite"
 	"repro/internal/tket"
 	"repro/internal/tokenswap"
 )
+
+// oneShotFigure evaluates cfg the way qubikos-eval does without
+// -cache-dir: generation into a fresh temporary store, then a stored
+// evaluation over it.
+func oneShotFigure(b *testing.B, cfg harness.SuiteConfig, tools []harness.ToolSpec) *harness.Figure {
+	store, err := suite.Open(b.TempDir(), suite.StoreOptions{Verify: cfg.Verify})
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := store.EnsureCtx(context.Background(), cfg.Manifest())
+	if err != nil {
+		b.Fatal(err)
+	}
+	fig, err := harness.RunStoredEvalCtx(context.Background(), store, st, tools, harness.StoredEvalOptions{Seed: cfg.Seed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return fig
+}
 
 // benchFigure runs one reduced Figure 4 subplot per iteration.
 func benchFigure(b *testing.B, dev *arch.Device, gates int) {
@@ -38,10 +59,7 @@ func benchFigure(b *testing.B, dev *arch.Device, gates int) {
 	var lastGap float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fig, err := harness.RunFigure(cfg, tools)
-		if err != nil {
-			b.Fatal(err)
-		}
+		fig := oneShotFigure(b, cfg, tools)
 		gaps := harness.AbstractGaps([]*harness.Figure{fig})
 		for _, g := range gaps {
 			if g.Tool == "lightsabre" {
@@ -72,7 +90,7 @@ func BenchmarkOptimalityStudy(b *testing.B) {
 	verified := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := harness.RunOptimalityStudy(cfg)
+		rows, err := harness.RunOptimalityStudyCtx(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -100,11 +118,7 @@ func BenchmarkAbstractGaps(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var figs []*harness.Figure
 		for _, cfg := range cfgs {
-			fig, err := harness.RunFigure(cfg, tools)
-			if err != nil {
-				b.Fatal(err)
-			}
-			figs = append(figs, fig)
+			figs = append(figs, oneShotFigure(b, cfg, tools))
 		}
 		gaps := harness.AbstractGaps(figs)
 		best = gaps[0].MeanRatio

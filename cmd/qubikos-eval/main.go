@@ -7,14 +7,17 @@
 // every ratio scores depth instead of SWAPs; each table row is labeled
 // with its metric either way.
 //
-// With -cache-dir the suites come from the content-addressed store:
-// generated on the first run, reused bit-identically afterwards — a
-// second evaluation of the same configuration generates nothing. Each
-// evaluation streams per-instance rows into a JSONL log inside the suite
-// directory (keyed by tool set, trials and seed), so an interrupted run
-// resumes where it stopped; -jsonl additionally copies the rows to a
-// file of your choosing. With -suite the command evaluates one stored
-// suite by content hash instead of the Figure-4 configurations.
+// Every run evaluates suites held in a content-addressed store. With
+// -cache-dir the store persists: suites are generated on the first run
+// and reused bit-identically afterwards — a second evaluation of the
+// same configuration generates nothing — and each evaluation streams
+// per-instance rows into a JSONL log inside the suite directory (keyed
+// by tool set, trials and seed), so an interrupted run resumes where it
+// stopped. Without -cache-dir the same evaluation runs over a temporary
+// store that is removed when the command exits. -jsonl additionally
+// copies the rows to a file of your choosing. With -suite the command
+// evaluates one stored suite by content hash instead of the Figure-4
+// configurations.
 //
 // Usage:
 //
@@ -62,10 +65,10 @@ func main() {
 	depthList := flag.String("depths", "8,16,24", "comma-separated optimal routed depths (depth-metric families)")
 	seed := flag.Int64("seed", 1, "base random seed")
 	csvPath := flag.String("csv", "", "also write the cells as CSV to this file")
-	cacheDir := flag.String("cache-dir", "", "suite store root; empty regenerates suites inline (legacy)")
+	cacheDir := flag.String("cache-dir", "", "persistent suite store root; empty evaluates over a temporary store removed on exit")
 	suiteHash := flag.String("suite", "", "evaluate one stored suite by content hash (requires -cache-dir)")
-	jsonlPath := flag.String("jsonl", "", "also stream per-instance result rows to this JSONL file (store mode)")
-	workers := flag.Int("workers", 1, "parallel evaluation workers (store mode)")
+	jsonlPath := flag.String("jsonl", "", "also stream per-instance result rows to this JSONL file")
+	workers := flag.Int("workers", 1, "parallel evaluation workers")
 	toolTimeout := flag.Duration("tool-timeout", 0, "per-(tool, instance) routing budget; a tool over budget becomes a failure row instead of hanging the run (0 = unlimited)")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (load in Perfetto or chrome://tracing)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -103,13 +106,13 @@ func main() {
 
 	// Every run is traced: spans feed the wall-time summary printed at
 	// the end, and -trace additionally exports them as Chrome trace-event
-	// JSON. SIGINT/SIGTERM cancel the context: store-backed evaluation
-	// streams durable rows as it goes, so an interrupted run resumes
+	// JSON. SIGINT/SIGTERM cancel the context: evaluation streams
+	// durable rows as it goes, so an interrupted -cache-dir run resumes
 	// where it stopped instead of losing the partial figure.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	untraced, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	tr := obs.New(0)
-	ctx = obs.NewContext(ctx, tr)
+	ctx := obs.NewContext(untraced, tr)
 
 	fam, err := family.Resolve(*famName)
 	if err != nil {
@@ -128,14 +131,20 @@ func main() {
 		fatal(fmt.Errorf("-suite requires -cache-dir"))
 	}
 
-	var store *suite.Store
-	if *cacheDir != "" {
-		// Verify mirrors the inline path: PaperSuites runs the structural
-		// verifier on every generated benchmark, so store-backed
-		// generation does too (cache hits cost nothing either way).
-		if store, err = suite.Open(*cacheDir, suite.StoreOptions{Verify: true}); err != nil {
+	root := *cacheDir
+	if root == "" {
+		if root, err = os.MkdirTemp("", "qubikos-eval-"); err != nil {
 			fatal(err)
 		}
+		cleanup = func() { os.RemoveAll(root) }
+		defer cleanup()
+	}
+	// PaperSuites asks for the structural verifier on every generated
+	// benchmark (Verify), so the store runs it on every generation; cache
+	// hits cost nothing either way.
+	store, err := suite.Open(root, suite.StoreOptions{Verify: true})
+	if err != nil {
+		fatal(err)
 	}
 	// Unknown tool names are a hard error listing the registered tools —
 	// never a silent skip that would quietly shrink the comparison.
@@ -176,27 +185,26 @@ func main() {
 			suites[i].SwapCounts = grid
 		}
 
+		// A temporary store's generation is not traced and its suite lines
+		// are not printed: both describe the persistent cache.
+		ensureCtx := untraced
+		if *cacheDir != "" {
+			ensureCtx = ctx
+		}
 		for _, cfg := range suites {
 			t0 := time.Now()
-			var fig *harness.Figure
-			if store != nil {
-				st, err := store.EnsureCtx(ctx, cfg.Manifest())
-				if err != nil {
-					fatal(err)
-				}
+			st, err := store.EnsureCtx(ensureCtx, cfg.Manifest())
+			if err != nil {
+				fatal(err)
+			}
+			if *cacheDir != "" {
 				status := "generated"
 				if st.Cached {
 					status = "cache hit"
 				}
 				fmt.Printf("suite %s (%s)\n", st.Hash, status)
-				fig = evalStored(ctx, store, st, tools, *trials, *seed, *workers, *toolTimeout, *jsonlPath)
-			} else {
-				fig, err = harness.RunFigureCtx(ctx, cfg, tools,
-					harness.EvalConfig{Seed: cfg.Seed, ToolTimeout: *toolTimeout})
-				if err != nil {
-					fatal(err)
-				}
 			}
+			fig := evalStored(ctx, store, st, tools, *trials, *seed, *workers, *toolTimeout, *jsonlPath)
 			figs = append(figs, fig)
 			harness.RenderFigure(os.Stdout, fig)
 			fmt.Printf("(%s in %v)\n\n", cfg.Device.Name(), time.Since(t0).Round(time.Millisecond))
@@ -306,7 +314,12 @@ func parseGrid(s string, min int) ([]int, error) {
 	return out, nil
 }
 
+// cleanup removes the temporary store of a run without -cache-dir; fatal
+// runs it too, because os.Exit skips deferred calls.
+var cleanup = func() {}
+
 func fatal(err error) {
+	cleanup()
 	fmt.Fprintln(os.Stderr, "qubikos-eval:", err)
 	os.Exit(1)
 }

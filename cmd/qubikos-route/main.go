@@ -26,7 +26,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -36,7 +35,9 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/bmt"
+	"repro/internal/circuit"
 	"repro/internal/family"
 	"repro/internal/harness"
 	"repro/internal/mlqls"
@@ -121,47 +122,38 @@ func main() {
 		fatal(fmt.Errorf("unknown tool %q (registered: %s)", *tool, strings.Join(names, ", ")))
 	}
 
-	// In single-tool mode -timeout bounds the whole routing call.
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	sp, ctx := obs.Begin(ctx, "route", *tool)
-	sp.Arg("instance", *base)
-
-	var res *router.Result
 	if *fromOptimal {
 		pr, ok := r.(router.PlacedRouter)
 		if !ok {
 			fatal(fmt.Errorf("tool %q cannot route from a fixed mapping", *tool))
 		}
-		if err := ctx.Err(); err != nil {
-			fatal(err)
-		}
-		res, err = pr.RouteFrom(inst.Circuit, inst.Device, router.Mapping(inst.Meta.InitialMapping))
-	} else {
-		res, err = router.RouteWithContext(ctx, r, inst.Circuit, inst.Device)
+		r = placed{pr, router.Mapping(inst.Meta.InitialMapping)}
 	}
+	p, err := router.Prepare(inst.Circuit, inst.Device)
 	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			fatal(fmt.Errorf("routing exceeded the -timeout budget %v", *timeout))
-		}
 		fatal(err)
 	}
-	if ins, ok := r.(router.Instrumented); ok {
-		c := ins.Counters()
-		sp.ArgInt("decisions", c.Decisions)
-		sp.ArgInt("candidates", c.Candidates)
-		sp.ArgInt("restarts", c.Restarts)
-	}
+
+	// The shared guard runs the tool in isolation under -timeout and
+	// audits its result: a panic, an overrun, an invalid result or one
+	// that beats the sidecar's proven optimum exits non-zero instead of
+	// being reported as a gap. routeTools already seeded the tool.
+	sp, ctx := obs.Begin(ctx, "route", *tool)
+	sp.Arg("instance", *base)
+	v := portfolio.Guard(ctx, &sp, p, portfolio.Entry{Name: *tool, Make: func(int64) router.Router { return r }},
+		portfolio.Options{ToolTimeout: *timeout, Metric: inst.Family.Metric, Optimal: inst.Meta.Optimal()})
 	sp.End()
 	if err := writeTrace(tr, *tracePath); err != nil {
 		fatal(err)
 	}
-	if err := router.Validate(inst.Circuit, inst.Device, res); err != nil {
-		fatal(fmt.Errorf("tool produced an invalid result: %w", err))
+	switch v.Outcome {
+	case portfolio.OutcomeOK:
+	case portfolio.OutcomeTimeout:
+		fatal(fmt.Errorf("routing exceeded the -timeout budget %v", *timeout))
+	default:
+		fatal(fmt.Errorf("%s: %w", *tool, v.Err))
 	}
+	res := v.Result
 
 	metric := inst.Family.Metric
 	fmt.Printf("instance: %s on %s (family %s, %d two-qubit gates, optimal %s %d)\n",
@@ -234,6 +226,25 @@ func runPortfolio(ctx context.Context, inst *family.Loaded, base, toolsList stri
 		fmt.Println(line)
 	}
 	return nil
+}
+
+// placed routes from a fixed initial mapping behind the plain Router
+// interface, so -from-optimal runs through the same guard as full
+// layout synthesis.
+type placed struct {
+	router.PlacedRouter
+	initial router.Mapping
+}
+
+func (p placed) Route(c *circuit.Circuit, dev *arch.Device) (*router.Result, error) {
+	return p.RouteFrom(c, dev, p.initial)
+}
+
+func (p placed) Counters() router.Counters {
+	if ins, ok := p.PlacedRouter.(router.Instrumented); ok {
+		return ins.Counters()
+	}
+	return router.Counters{}
 }
 
 // writeTrace exports the run's spans as Chrome trace-event JSON when

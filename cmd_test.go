@@ -86,6 +86,30 @@ func TestCommandPipeline(t *testing.T) {
 		t.Fatalf("route -from-optimal output unexpected:\n%s", out)
 	}
 
+	// A sidecar claiming an optimum above what the tools achieve is
+	// caught by the audit in both single-tool modes, never printed as a
+	// gap below 1x.
+	lying := t.TempDir()
+	for _, ext := range []string{".qasm", ".json"} {
+		b, err := os.ReadFile(filepath.Join(work, base+ext))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ext == ".json" {
+			b = []byte(strings.Replace(string(b), `"optimal_swaps": 3`, `"optimal_swaps": 300`, 1))
+		}
+		if err := os.WriteFile(filepath.Join(lying, base+ext), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, mode := range [][]string{nil, {"-from-optimal"}} {
+		args := append([]string{"-dir", lying, "-base", base, "-tool", "tket"}, mode...)
+		b, err := exec.Command(filepath.Join(bins, "qubikos-route"), args...).CombinedOutput()
+		if err == nil || !strings.Contains(string(b), "beats the proven optimal") {
+			t.Errorf("route %v over a lying sidecar: err=%v, want a beats-optimum rejection:\n%s", mode, err, b)
+		}
+	}
+
 	// Exact verification of the stored QASM against its claimed optimum.
 	out = run(t, filepath.Join(bins, "qubikos-verify"),
 		"-qasm", filepath.Join(work, base+".qasm"), "-arch", "aspen4", "-claim", "3")

@@ -2,15 +2,19 @@
 // paper's architectures (Aspen-4 and Rochester), printing the per-cell
 // optimality-gap tables and the cross-tool averages. Scale the constants
 // up (circuits, trials, devices) to approach the paper's full setting.
+// The suites are generated into a temporary store and evaluated there,
+// exactly as qubikos-eval does without -cache-dir.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
 
 	"repro/internal/arch"
 	"repro/internal/harness"
+	"repro/internal/suite"
 )
 
 func main() {
@@ -34,13 +38,16 @@ func main() {
 	}
 	tools := harness.DefaultTools(8) // 8 LightSABRE trials; the paper uses 1000
 
-	var figs []*harness.Figure
-	for _, cfg := range suites {
-		fig, err := harness.RunFigure(cfg, tools)
-		if err != nil {
-			log.Fatal(err)
-		}
-		figs = append(figs, fig)
+	dir, err := os.MkdirTemp("", "qubikos-example-")
+	if err != nil {
+		log.Fatal(err)
+	}
+	figs, err := evaluate(dir, suites, tools)
+	os.RemoveAll(dir)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, fig := range figs {
 		harness.RenderFigure(os.Stdout, fig)
 		fmt.Println()
 	}
@@ -49,4 +56,27 @@ func main() {
 	fmt.Println("\nExpected shape (paper Figure 4): LightSABRE smallest gap,")
 	fmt.Println("ML-QLS close behind, QMAP and t|ket| far larger; Rochester's")
 	fmt.Println("sparse heavy-hex structure shows a larger gap than Aspen-4.")
+}
+
+// evaluate generates each suite into a store rooted at dir and runs
+// every tool over it.
+func evaluate(dir string, suites []harness.SuiteConfig, tools []harness.ToolSpec) ([]*harness.Figure, error) {
+	store, err := suite.Open(dir, suite.StoreOptions{Verify: true})
+	if err != nil {
+		return nil, err
+	}
+	ctx := context.Background()
+	var figs []*harness.Figure
+	for _, cfg := range suites {
+		st, err := store.EnsureCtx(ctx, cfg.Manifest())
+		if err != nil {
+			return nil, err
+		}
+		fig, err := harness.RunStoredEvalCtx(ctx, store, st, tools, harness.StoredEvalOptions{Seed: cfg.Seed})
+		if err != nil {
+			return nil, err
+		}
+		figs = append(figs, fig)
+	}
+	return figs, nil
 }

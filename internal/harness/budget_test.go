@@ -3,9 +3,9 @@ package harness
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
-	"repro/internal/family"
 	"repro/internal/mlqls"
 	"repro/internal/qmap"
 	"repro/internal/router"
@@ -18,7 +18,9 @@ import (
 // (qmap's serial A*) routed alongside. Run under -race in CI, this is
 // the data-race coverage of the harness→router borrow path.
 func TestWorkerBudgetSeamDeterministic(t *testing.T) {
-	items, err := GenerateItems(smallSuite())
+	cfg := smallSuite()
+	store := openStore(t)
+	st, err := store.Ensure(cfg.Manifest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,18 +32,21 @@ func TestWorkerBudgetSeamDeterministic(t *testing.T) {
 			return mlqls.New(mlqls.Options{Seed: seed})
 		}},
 	}
-	run := func(workers int) []Cell {
-		cells, err := EvaluateItemsCtx(context.Background(), family.Swaps, items,
-			[]int{2, 3}, tools, EvalConfig{Seed: 5, Workers: workers})
+	// The sweep reserves one budget slot per worker out of GOMAXPROCS,
+	// so a fixed GOMAXPROCS makes the lent remainder host-independent.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(9))
+	run := func(workers int, key string) []Cell {
+		fig, err := RunStoredEvalCtx(context.Background(), store, st, tools,
+			StoredEvalOptions{Seed: 5, Workers: workers, Key: key})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return cells
+		return fig.Cells
 	}
-	serial := run(1)   // budget lends nothing: every router runs serially
-	budgeted := run(9) // budget lends up to 8 internal workers
-	if !reflect.DeepEqual(serial, budgeted) {
-		t.Errorf("cells diverge between budgeted and serial sweeps:\nserial:   %+v\nbudgeted: %+v",
-			serial, budgeted)
+	unlent := run(9, "lends-nothing") // nine sweep workers hold every slot
+	lent := run(1, "lends-eight")     // one sweep worker lends up to 8
+	if !reflect.DeepEqual(unlent, lent) {
+		t.Errorf("cells diverge between budgeted and unbudgeted sweeps:\nlends nothing: %+v\nlends eight:   %+v",
+			unlent, lent)
 	}
 }

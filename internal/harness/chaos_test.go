@@ -105,7 +105,7 @@ func TestStoredEvalPanicBecomesRowError(t *testing.T) {
 
 	var mu sync.Mutex
 	rowErrs := map[string][]string{}
-	fig, err := RunStoredEval(store, st, tools, StoredEvalOptions{
+	fig, err := RunStoredEvalCtx(context.Background(), store, st, tools, StoredEvalOptions{
 		Seed:    cfg.Seed,
 		Workers: 2,
 		OnRow: func(r suite.Row) {
@@ -143,7 +143,7 @@ func TestStoredEvalWrongResultAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	tools := []ToolSpec{chaosSpec("liar", chaos.WrongResult, nil)}
-	_, err = RunStoredEval(store, st, tools, StoredEvalOptions{Seed: cfg.Seed})
+	_, err = RunStoredEvalCtx(context.Background(), store, st, tools, StoredEvalOptions{Seed: cfg.Seed})
 	if err == nil || !strings.Contains(err.Error(), "invalid result") {
 		t.Fatalf("err = %v, want invalid-result abort", err)
 	}
@@ -197,23 +197,23 @@ func TestStoredEvalCancelledMidRunResumes(t *testing.T) {
 	}
 }
 
-// The inline (EvaluateItems) path shares the same guard: hangs time out
-// into cell failures, and a pre-cancelled context is a hard error.
-func TestEvaluateItemsCtxTimeoutAndCancel(t *testing.T) {
+// Every cell routes through the same guard: hangs time out into cell
+// failures, and a pre-cancelled context is a hard error.
+func TestStoredEvalCtxTimeoutAndCancel(t *testing.T) {
 	cfg := tinyCfg()
-	items, err := GenerateItems(cfg)
+	store := openStore(t)
+	st, err := store.Ensure(cfg.Manifest())
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := cfg.Manifest()
 	tools := []ToolSpec{chaosSpec("hung", chaos.HangUntilCancel, nil)}
 
-	cells, err := EvaluateItemsCtx(context.Background(), m.Metric(), items, m.Grid(), tools,
-		EvalConfig{Seed: cfg.Seed, ToolTimeout: 50 * time.Millisecond})
+	fig, err := RunStoredEvalCtx(context.Background(), store, st, tools,
+		StoredEvalOptions{Seed: cfg.Seed, ToolTimeout: 50 * time.Millisecond, Key: "timeout"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range cells {
+	for _, c := range fig.Cells {
 		if c.Failures == 0 || c.Circuits != 0 {
 			t.Errorf("cell n=%d: circuits=%d failures=%d, want all timeouts", c.Optimal, c.Circuits, c.Failures)
 		}
@@ -221,36 +221,8 @@ func TestEvaluateItemsCtxTimeoutAndCancel(t *testing.T) {
 
 	dead, cancelNow := context.WithCancel(context.Background())
 	cancelNow()
-	if _, err := EvaluateItemsCtx(dead, m.Metric(), items, m.Grid(), tools,
-		EvalConfig{Seed: cfg.Seed}); !errors.Is(err, context.Canceled) {
+	if _, err := RunStoredEvalCtx(dead, store, st, tools,
+		StoredEvalOptions{Seed: cfg.Seed, Key: "cancelled"}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-// routeOneCtx unit coverage: the Delay mode finishes under a generous
-// timeout (slow is not dead), and an honest tool error stays a row-level
-// outcome.
-func TestRouteOneCtxOutcomes(t *testing.T) {
-	cfg := tinyCfg()
-	items, err := GenerateItems(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	it := items[0]
-	it.prepare()
-
-	slow := chaosSpec("slow", chaos.Delay, func(r *chaos.Router) { r.Sleep = 5 * time.Millisecond })
-	res, toolErr, err := routeOneCtx(context.Background(), slow, it, cfg.Seed, 5*time.Second, nil)
-	if err != nil || toolErr != "" || res == nil {
-		t.Fatalf("slow tool under generous timeout: res=%v toolErr=%q err=%v", res, toolErr, err)
-	}
-
-	failing := chaosSpec("failing", chaos.Fail, nil)
-	res, toolErr, err = routeOneCtx(context.Background(), failing, it, cfg.Seed, 0, nil)
-	if err != nil {
-		t.Fatalf("honest tool error must stay row-level: %v", err)
-	}
-	if res != nil || !strings.Contains(toolErr, "injected tool failure") {
-		t.Fatalf("res=%v toolErr=%q, want injected failure string", res, toolErr)
 	}
 }

@@ -8,13 +8,13 @@
 // labeled with the metric it scores, so mixed-family tables stay
 // unambiguous.
 //
-// Suites come from either of two paths. RunFigure generates inline — the
-// historical one-shot mode. RunStoredEval fans the tools over a suite
-// held in a content-addressed suite.Store, streaming per-instance rows
+// Figures come from one engine: RunStoredEvalCtx fans the tools over a
+// suite held in a content-addressed suite.Store, routing every (tool,
+// instance) cell through portfolio.Guard and streaming per-instance rows
 // into a resumable JSONL log; the store guarantees repeated evaluations
 // of the same recipe reuse bit-identical benchmarks without
-// regenerating. Both paths aggregate through the same EvaluateItems /
-// Cell machinery, and a golden test pins them to identical figures.
+// regenerating. A one-shot run is the same evaluation over a temporary
+// store.
 package harness
 
 import (
@@ -26,7 +26,6 @@ import (
 	"strings"
 
 	"repro/internal/arch"
-	"repro/internal/circuit"
 	"repro/internal/family"
 	"repro/internal/mlqls"
 	"repro/internal/obs"
@@ -200,185 +199,6 @@ type Figure struct {
 	Cells  []Cell `json:"cells"`
 }
 
-// EvalItem is one benchmark to evaluate, decoupled from how it was
-// produced: inline generation, a stored suite, or a parsed file all
-// reduce to a circuit on a device with a proven optimum of some metric.
-type EvalItem struct {
-	// ID names the item in logs and errors (an instance base name).
-	ID      string
-	Device  *arch.Device
-	Circuit *circuit.Circuit
-	// Metric is the scored metric (zero value scores swaps).
-	Metric family.Metric
-	// Optimal is the proven optimal value of Metric.
-	Optimal int
-
-	// prep is the shared routing context (padded circuit, skeleton,
-	// DAGs, layers), built once per instance by the eval paths and
-	// handed read-only to every tool implementing
-	// router.PreparedRouter. nil means each tool derives its own.
-	prep *router.Prepared
-}
-
-// prepare builds the item's shared routing context. A context that
-// cannot be built (circuit wider than the device) is left nil: every
-// tool then fails through its own Route guard, producing the same
-// per-tool failure rows the unshared path produced.
-func (it *EvalItem) prepare() {
-	if it.prep != nil {
-		return
-	}
-	if p, err := router.Prepare(it.Circuit, it.Device); err == nil {
-		it.prep = p
-	}
-}
-
-// Items converts generated qubikos benchmarks into evaluation items.
-func Items(benchmarks []*qubikos.Benchmark) []EvalItem {
-	items := make([]EvalItem, len(benchmarks))
-	for i, b := range benchmarks {
-		items[i] = EvalItem{
-			ID:      fmt.Sprintf("bench_%03d", i),
-			Device:  b.Device,
-			Circuit: b.Circuit,
-			Metric:  family.Swaps,
-			Optimal: b.OptSwaps,
-		}
-	}
-	return items
-}
-
-// GenerateItems builds the configuration's benchmarks through the family
-// registry, deterministic in the configured seed: exactly the instances
-// (and bytes) a suite.Store would generate from cfg.Manifest().
-func GenerateItems(cfg SuiteConfig) ([]EvalItem, error) {
-	m := cfg.Manifest()
-	fam, err := m.Family()
-	if err != nil {
-		return nil, err
-	}
-	var items []EvalItem
-	for _, ref := range m.InstanceRefs() {
-		inst, err := fam.Generate(cfg.Device, m.Options(ref.Optimal, ref.Index))
-		if err != nil {
-			return nil, fmt.Errorf("harness: generate %s %s: %w", cfg.Device.Name(), ref.Base, err)
-		}
-		if cfg.Verify {
-			if err := inst.Verify(); err != nil {
-				return nil, fmt.Errorf("harness: verify %s %s: %w", cfg.Device.Name(), ref.Base, err)
-			}
-		}
-		items = append(items, EvalItem{
-			ID:      ref.Base,
-			Device:  cfg.Device,
-			Circuit: inst.Circuit,
-			Metric:  fam.Metric,
-			Optimal: inst.Optimal,
-		})
-	}
-	return items, nil
-}
-
-// RunFigure generates the suite inline and evaluates it — the historical
-// one-shot path. Production runs should generate through a suite.Store
-// and use RunStoredEval so repeated evaluations never regenerate.
-func RunFigure(cfg SuiteConfig, tools []ToolSpec) (*Figure, error) {
-	return RunFigureCtx(context.Background(), cfg, tools, EvalConfig{Seed: cfg.Seed})
-}
-
-// RunFigureCtx is RunFigure under a cancellation context and an explicit
-// evaluation config: generation is checked between instances, and every
-// (tool, instance) routing attempt runs fault-isolated under
-// ec.ToolTimeout.
-func RunFigureCtx(ctx context.Context, cfg SuiteConfig, tools []ToolSpec, ec EvalConfig) (*Figure, error) {
-	m := cfg.Manifest()
-	items, err := GenerateItems(cfg)
-	if err != nil {
-		return nil, err
-	}
-	fig := &Figure{
-		Device: cfg.Device.Name(),
-		Metric: string(m.Metric()),
-		Gates:  cfg.TargetTwoQubitGates,
-	}
-	fig.Cells, err = EvaluateItemsCtx(ctx, m.Metric(), items, m.Grid(), tools, ec)
-	if err != nil {
-		return nil, err
-	}
-	return fig, nil
-}
-
-// EvaluateItems runs every tool over every item and aggregates per grid
-// value of the scored metric, in tool order then grid order. Every
-// result is audited with router.Validate and checked against the
-// optimality lower bound; violations are returned as errors because they
-// would falsify the benchmark's guarantee.
-func EvaluateItems(metric family.Metric, items []EvalItem, grid []int, tools []ToolSpec, seed int64) ([]Cell, error) {
-	return EvaluateItemsCtx(context.Background(), metric, items, grid, tools, EvalConfig{Seed: seed})
-}
-
-// EvaluateItemsCtx is EvaluateItems under a cancellation context and an
-// explicit evaluation config. Each (tool, instance) pair routes in a
-// fault-isolated worker bounded by ec.ToolTimeout: a tool that times
-// out, fails, or panics becomes a cell failure while the rest of the
-// sweep completes; cancelling ctx aborts the whole sweep with its
-// cause.
-func EvaluateItemsCtx(ctx context.Context, metric family.Metric, items []EvalItem, grid []int, tools []ToolSpec, ec EvalConfig) ([]Cell, error) {
-	for _, it := range items {
-		if it.Optimal <= 0 {
-			return nil, fmt.Errorf("harness: instance %s has no positive optimal %s to score (got %d)",
-				it.ID, metric, it.Optimal)
-		}
-	}
-	// Build each instance's routing context once; every tool in the loop
-	// below shares it instead of re-padding, re-skeletonizing, and
-	// re-building DAGs per (tool, instance) pair.
-	for i := range items {
-		items[i].prepare()
-	}
-	// One shared worker budget for the whole sweep: this loop routes one
-	// (tool, instance) pair at a time, so it reserves a single slot and
-	// budgeted routers borrow the rest of the machine while idle.
-	budget := sweepBudget(ec.Workers, 1)
-	var cells []Cell
-	for _, tool := range tools {
-		for _, n := range grid {
-			cell := Cell{Tool: tool.Name, Metric: string(metric), Optimal: n, MinRatio: -1}
-			for _, it := range items {
-				if it.Optimal != n {
-					continue
-				}
-				res, _, err := routeOneCtx(ctx, tool, it, ec.Seed, ec.ToolTimeout, budget)
-				if err != nil {
-					return nil, err
-				}
-				if res == nil {
-					cell.Failures++
-					continue
-				}
-				ratio := metric.Ratio(metric.Achieved(res), it.Optimal)
-				cell.Circuits++
-				cell.MeanSwaps += float64(res.SwapCount)
-				cell.MeanDepth += float64(res.RoutedDepth())
-				cell.MeanRatio += ratio
-				if cell.MinRatio < 0 || ratio < cell.MinRatio {
-					cell.MinRatio = ratio
-				}
-				if ratio > cell.MaxRatio {
-					cell.MaxRatio = ratio
-				}
-			}
-			if cell.Circuits > 0 {
-				cell.MeanSwaps /= float64(cell.Circuits)
-				cell.MeanDepth /= float64(cell.Circuits)
-				cell.MeanRatio /= float64(cell.Circuits)
-			}
-			cells = append(cells, cell)
-		}
-	}
-	return cells, nil
-}
-
 // ToolAverage is one row of the abstract's summary (63x / 117x / 250x /
 // 330x in the paper).
 type ToolAverage struct {
@@ -542,22 +362,16 @@ type OptimalityRow struct {
 	Deviation int // instances whose exact optimum differed (must be 0)
 }
 
-// RunOptimalityStudy generates capped instances and certifies each with
-// the exact SAT solver: UNSAT at n-1 and SAT at n. Instances are
-// independent — every one carries its own deterministic seed and its own
-// persistent incremental solver — so certification fans out over a
+// RunOptimalityStudyCtx generates capped instances and certifies each
+// with the exact SAT solver: UNSAT at n-1 and SAT at n. Instances are
+// independent — every one carries its own deterministic seed and its
+// own persistent incremental solver — so certification fans out over a
 // bounded worker pool (cfg.Workers, defaulting to GOMAXPROCS) and the
-// aggregated rows are identical for any worker count.
-func RunOptimalityStudy(cfg OptimalityConfig) ([]OptimalityRow, error) {
-	return RunOptimalityStudyCtx(context.Background(), cfg)
-}
-
-// RunOptimalityStudyCtx is RunOptimalityStudy under a cancellation
-// context: the deadline propagates into every SAT search (alongside any
-// conflict budget) and into the worker pool's dispatch loop, so an
-// abandoned study stops certifying promptly instead of finishing the
-// sweep. A cancelled study returns the cancellation cause, never a
-// partial table.
+// aggregated rows are identical for any worker count. The context's
+// deadline propagates into every SAT search (alongside any conflict
+// budget) and into the pool's dispatch loop, so an abandoned study stops
+// certifying promptly; a cancelled study returns the cancellation
+// cause, never a partial table.
 func RunOptimalityStudyCtx(ctx context.Context, cfg OptimalityConfig) ([]OptimalityRow, error) {
 	type job struct {
 		dev *arch.Device

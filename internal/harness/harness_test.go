@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -39,32 +41,8 @@ func TestGenerateSuiteDeterministic(t *testing.T) {
 	}
 }
 
-func TestRunFigureShape(t *testing.T) {
-	fig, err := RunFigure(smallSuite(), DefaultTools(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fig.Cells) != 4*2 { // 4 tools x 2 swap counts
-		t.Fatalf("cells=%d want 8", len(fig.Cells))
-	}
-	for _, c := range fig.Cells {
-		if c.Circuits != 2 {
-			t.Errorf("%s n=%d circuits=%d want 2", c.Tool, c.Optimal, c.Circuits)
-		}
-		if c.MeanRatio < 1 {
-			t.Errorf("%s n=%d mean ratio %.2f below 1 — optimality violated", c.Tool, c.Optimal, c.MeanRatio)
-		}
-		if c.MinRatio > c.MeanRatio || c.MeanRatio > c.MaxRatio {
-			t.Errorf("%s n=%d ratio ordering broken: %v %v %v", c.Tool, c.Optimal, c.MinRatio, c.MeanRatio, c.MaxRatio)
-		}
-	}
-}
-
 func TestAbstractGapsAndDeviceGaps(t *testing.T) {
-	fig, err := RunFigure(smallSuite(), DefaultTools(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := pinnedFigure(t, "figure_swaps.json")
 	gaps := AbstractGaps([]*Figure{fig})
 	if len(gaps) != 4 {
 		t.Fatalf("gaps=%d want 4 tools", len(gaps))
@@ -84,10 +62,7 @@ func TestAbstractGapsAndDeviceGaps(t *testing.T) {
 }
 
 func TestRenderers(t *testing.T) {
-	fig, err := RunFigure(smallSuite(), DefaultTools(2)[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := pinnedFigure(t, "figure_swaps.json")
 	var sb strings.Builder
 	RenderFigure(&sb, fig)
 	if !strings.Contains(sb.String(), "lightsabre") {
@@ -105,6 +80,18 @@ func TestRenderers(t *testing.T) {
 	if s := Summary([]*Figure{fig}); !strings.Contains(s, "Best-tool gap per device") {
 		t.Error("summary missing device trend section")
 	}
+	// Depth rows must be labeled in both renderings.
+	depth := pinnedFigure(t, "figure_depth.json")
+	sb.Reset()
+	RenderFigure(&sb, depth)
+	if !strings.Contains(sb.String(), "depth") {
+		t.Error("text table missing the depth metric label")
+	}
+	sb.Reset()
+	RenderFigureCSV(&sb, depth)
+	if !strings.Contains(sb.String(), ",depth,") {
+		t.Error("CSV rows missing the depth metric label")
+	}
 }
 
 func TestOptimalityStudySmall(t *testing.T) {
@@ -113,7 +100,7 @@ func TestOptimalityStudySmall(t *testing.T) {
 	}
 	cfg := DefaultOptimalityConfig(2, 5)
 	cfg.SwapCounts = []int{1, 2}
-	rows, err := RunOptimalityStudy(cfg)
+	rows, err := RunOptimalityStudyCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,19 +131,30 @@ func TestOptimalityStudyParallelMatchesSerial(t *testing.T) {
 	cfg := DefaultOptimalityConfig(2, 5)
 	cfg.SwapCounts = []int{1, 2}
 	cfg.Workers = 1
-	serial, err := RunOptimalityStudy(cfg)
+	serial, err := RunOptimalityStudyCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{4, 16} {
 		cfg.Workers = workers
-		parallel, err := RunOptimalityStudy(cfg)
+		parallel, err := RunOptimalityStudyCtx(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Fatalf("workers=%d rows differ:\nserial:   %+v\nparallel: %+v", workers, serial, parallel)
 		}
+	}
+}
+
+// A cancelled study returns the cancellation cause, never a partial
+// table.
+func TestOptimalityStudyCtxCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rows, err := RunOptimalityStudyCtx(ctx, DefaultOptimalityConfig(2, 5))
+	if !errors.Is(err, context.Canceled) || rows != nil {
+		t.Fatalf("rows=%v err=%v, want context.Canceled and no rows", rows, err)
 	}
 }
 
@@ -232,47 +230,6 @@ func smallDepthSuite() SuiteConfig {
 		TargetTwoQubitGates: 40,
 		Seed:                1,
 		Verify:              true,
-	}
-}
-
-// A depth-family figure must score routed depth: every cell labeled with
-// the depth metric, every ratio >= 1 (the structural lower bound makes
-// beating the optimum impossible), and mean depth >= the grid value.
-func TestRunFigureDepthFamily(t *testing.T) {
-	fig, err := RunFigure(smallDepthSuite(), DefaultTools(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fig.Metric != string(family.Depth) {
-		t.Fatalf("figure metric = %q, want depth", fig.Metric)
-	}
-	if len(fig.Cells) != 4*2 {
-		t.Fatalf("cells=%d want 8", len(fig.Cells))
-	}
-	for _, c := range fig.Cells {
-		if c.Metric != string(family.Depth) {
-			t.Errorf("%s cell metric = %q, want depth", c.Tool, c.Metric)
-		}
-		if c.Circuits != 2 {
-			t.Errorf("%s d=%d circuits=%d want 2", c.Tool, c.Optimal, c.Circuits)
-		}
-		if c.MeanRatio < 1 {
-			t.Errorf("%s d=%d mean depth ratio %.2f below 1 — depth lower bound violated", c.Tool, c.Optimal, c.MeanRatio)
-		}
-		if c.MeanDepth < float64(c.Optimal) {
-			t.Errorf("%s d=%d mean depth %.1f below the optimum", c.Tool, c.Optimal, c.MeanDepth)
-		}
-	}
-	// Depth rows must be labeled in both renderings.
-	var sb strings.Builder
-	RenderFigure(&sb, fig)
-	if !strings.Contains(sb.String(), "depth") {
-		t.Error("text table missing the depth metric label")
-	}
-	sb.Reset()
-	RenderFigureCSV(&sb, fig)
-	if !strings.Contains(sb.String(), ",depth,") {
-		t.Error("CSV rows missing the depth metric label")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/circuit"
 	"repro/internal/obs"
+	"repro/internal/portfolio"
 	"repro/internal/router"
 )
 
@@ -42,12 +43,15 @@ func TestRouteOneRecordsCellSpan(t *testing.T) {
 	// provably optimal regardless of initial placement.
 	c := circuit.New(3)
 	c.MustAppend(circuit.NewCX(0, 1), circuit.NewCX(1, 2), circuit.NewCX(0, 2))
-	it := EvalItem{ID: "inst0", Device: arch.Line(3), Circuit: c, Optimal: 1}
+	p, err := router.Prepare(c, arch.Line(3))
+	if err != nil {
+		t.Fatal(err)
+	}
 	tr := obs.New(16)
 	ctx := obs.NewContext(context.Background(), tr)
-	res, failure, err := routeOneCtx(ctx, DefaultTools(1)[0], it, 1, 0, nil)
+	res, failure, err := routeCell(ctx, DefaultTools(1)[0], "inst0", p, portfolio.Options{Seed: 1, Optimal: 1})
 	if err != nil || failure != "" || res == nil {
-		t.Fatalf("routeOneCtx: res=%v failure=%q err=%v", res, failure, err)
+		t.Fatalf("routeCell: res=%v failure=%q err=%v", res, failure, err)
 	}
 	if tr.Len() != 1 {
 		t.Fatalf("trace holds %d spans, want exactly the cell span", tr.Len())

@@ -5,21 +5,25 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/family"
+	"repro/internal/obs"
 	"repro/internal/pool"
+	"repro/internal/portfolio"
+	"repro/internal/router"
 	"repro/internal/suite"
 )
 
 // Manifest converts a suite configuration into the content-addressed
 // recipe the store keys on. The manifest's per-instance seed schedule
 // matches GenerateSuite's, so store-generated suites are the same
-// benchmarks the harness historically generated inline. Runtime knobs
-// that do not change the bytes (Verify) are excluded, so configs
-// differing only there share stored suites.
+// benchmarks GenerateSuite builds. Runtime knobs that do not change the
+// bytes (Verify) are excluded, so configs differing only there share
+// stored suites.
 func (cfg SuiteConfig) Manifest() suite.Manifest {
 	return suite.NewFamilyManifest(cfg.FamilyID(), cfg.Device.Name(), cfg.SwapCounts, cfg.CircuitsPerCount,
 		family.Options{
@@ -37,9 +41,10 @@ func EvalKey(parts ...string) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// StoredEvalOptions tunes RunStoredEval.
+// StoredEvalOptions tunes RunStoredEvalCtx.
 type StoredEvalOptions struct {
-	// Seed feeds each tool's constructor, matching RunFigure's schedule.
+	// Seed feeds each tool's constructor (offset by portfolio.Guard's
+	// schedule, so a portfolio race routes with the same tools).
 	Seed int64
 	// Workers bounds the evaluation worker pool; 0 means 1 (serial).
 	Workers int
@@ -60,23 +65,18 @@ type StoredEvalOptions struct {
 	ToolTimeout time.Duration
 }
 
-// RunStoredEval fans every tool over every instance of a stored suite,
-// streaming one JSONL row per (tool, instance) into the suite's
+// RunStoredEvalCtx fans every tool over every instance of a stored
+// suite, streaming one JSONL row per (tool, instance) into the suite's
 // evaluation log. Pairs already recorded by a previous run are skipped —
 // an interrupted evaluation resumes where it stopped and a finished one
 // is free — and the returned Figure aggregates all rows, old and new.
-// Tool failures become rows with a non-empty Error; results that are
-// invalid or beat the proven optimum abort with an error, because they
-// falsify the suite's guarantee.
-func RunStoredEval(store *suite.Store, st *suite.Suite, tools []ToolSpec, opts StoredEvalOptions) (*Figure, error) {
-	return RunStoredEvalCtx(context.Background(), store, st, tools, opts)
-}
-
-// RunStoredEvalCtx is RunStoredEval under a cancellation context. Each
-// (tool, instance) pair routes in a fault-isolated worker bounded by
-// opts.ToolTimeout — a hung or panicking tool becomes an error row, not
-// a wedged or crashed sweep. Cancelling ctx stops dispatching new pairs
-// and aborts with the cancellation cause; rows already appended stay
+//
+// Each pair routes through portfolio.Guard bounded by opts.ToolTimeout:
+// a tool that fails, hangs or panics becomes a row with a non-empty
+// Error, not a wedged or crashed sweep. Results that are invalid or beat
+// the proven optimum abort with an error, because they falsify the
+// suite's guarantee. Cancelling ctx stops dispatching new pairs and
+// aborts with the cancellation cause; rows already appended stay
 // durable, so a later run with the same key resumes where this one
 // stopped.
 func RunStoredEvalCtx(ctx context.Context, store *suite.Store, st *suite.Suite, tools []ToolSpec, opts StoredEvalOptions) (*Figure, error) {
@@ -127,7 +127,11 @@ func RunStoredEvalCtx(ctx context.Context, store *suite.Store, st *suite.Suite, 
 			needed[ref.Base] = true
 		}
 	}
-	items := make(map[string]EvalItem, len(needed))
+	type item struct {
+		p       *router.Prepared
+		optimal int
+	}
+	items := make(map[string]item, len(needed))
 	for _, ref := range st.Instances {
 		if !needed[ref.Base] {
 			continue
@@ -136,18 +140,14 @@ func RunStoredEvalCtx(ctx context.Context, store *suite.Store, st *suite.Suite, 
 		if err != nil {
 			return nil, err
 		}
-		it := EvalItem{
-			ID:      ref.Base,
-			Device:  li.Device,
-			Circuit: li.Circuit,
-			Metric:  metric,
-			Optimal: li.Meta.Optimal(),
-		}
 		// One shared routing context per instance: every tool's worker
 		// routes from the same read-only Prepared instead of re-deriving
 		// the padded circuit, skeleton, and DAGs per (tool, instance) job.
-		it.prepare()
-		items[ref.Base] = it
+		p, err := router.Prepare(li.Circuit, li.Device)
+		if err != nil {
+			return nil, fmt.Errorf("harness: suite %s instance %s: %w", st.Hash, ref.Base, err)
+		}
+		items[ref.Base] = item{p: p, optimal: li.Meta.Optimal()}
 	}
 
 	// The cross-instance pool reserves its worker slots up front; tools
@@ -158,12 +158,18 @@ func RunStoredEvalCtx(ctx context.Context, store *suite.Store, st *suite.Suite, 
 	if sweepWorkers < 1 {
 		sweepWorkers = 1
 	}
-	budget := sweepBudget(0, sweepWorkers)
+	budget := pool.NewBudget(runtime.GOMAXPROCS(0) - sweepWorkers)
 
 	run := func(j job) error {
 		it := items[j.ref.Base]
 		t0 := time.Now()
-		res, toolErr, err := routeOneCtx(ctx, j.tool, it, opts.Seed, opts.ToolTimeout, budget)
+		res, toolErr, err := routeCell(ctx, j.tool, j.ref.Base, it.p, portfolio.Options{
+			Seed:        opts.Seed,
+			ToolTimeout: opts.ToolTimeout,
+			Budget:      budget,
+			Metric:      metric,
+			Optimal:     it.optimal,
+		})
 		if err != nil {
 			return err
 		}
@@ -171,7 +177,7 @@ func RunStoredEvalCtx(ctx context.Context, store *suite.Store, st *suite.Suite, 
 			Suite:     st.Hash,
 			Instance:  j.ref.Base,
 			Metric:    string(metric),
-			Optimal:   it.Optimal,
+			Optimal:   it.optimal,
 			Tool:      j.tool.Name,
 			ElapsedMS: time.Since(t0).Milliseconds(),
 		}
@@ -180,7 +186,7 @@ func RunStoredEvalCtx(ctx context.Context, store *suite.Store, st *suite.Suite, 
 		} else {
 			row.Swaps = res.SwapCount
 			row.Depth = res.RoutedDepth()
-			row.Ratio = metric.Ratio(metric.Achieved(res), it.Optimal)
+			row.Ratio = metric.Ratio(metric.Achieved(res), it.optimal)
 		}
 		if err := log.Append(row); err != nil {
 			return err
@@ -200,10 +206,36 @@ func RunStoredEvalCtx(ctx context.Context, store *suite.Store, st *suite.Suite, 
 	return FigureFromRows(st, log.Rows(), tools), nil
 }
 
-// FigureFromRows aggregates evaluation rows into the same per-cell shape
-// RunFigure produces, ordered by the given tool order then the suite's
-// metric grid. Rows from unknown tools are ignored, so a log shared
-// across tool subsets still aggregates correctly.
+// routeCell routes one tool over one prepared instance through
+// portfolio.Guard under an eval/cell span and applies the sweep's policy
+// to the verdict: caller cancellation is a hard error (the whole sweep
+// is being abandoned, and partial figures should not pretend otherwise),
+// so is an invalid or optimum-beating result (it falsifies the suite's
+// guarantee); every other failure is returned as the row's error text.
+func routeCell(ctx context.Context, tool ToolSpec, id string, p *router.Prepared, opts portfolio.Options) (*router.Result, string, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, "", err
+	}
+	sp, ctx := obs.Begin(ctx, "eval", "cell")
+	defer sp.End()
+	sp.Arg("tool", tool.Name)
+	sp.Arg("instance", id)
+	v := portfolio.Guard(ctx, &sp, p, portfolio.Entry{Name: tool.Name, Make: tool.Make}, opts)
+	switch v.Outcome {
+	case portfolio.OutcomeOK:
+		return v.Result, "", nil
+	case portfolio.OutcomeCancelled:
+		return nil, "", v.Err
+	case portfolio.OutcomeInvalid:
+		return nil, "", fmt.Errorf("harness: %s on %s (%s): %w", tool.Name, p.Device.Name(), id, v.Err)
+	}
+	return nil, v.Err.Error(), nil
+}
+
+// FigureFromRows aggregates evaluation rows into per-cell statistics,
+// ordered by the given tool order then the suite's metric grid. Rows
+// from unknown tools are ignored, so a log shared across tool subsets
+// still aggregates correctly.
 func FigureFromRows(st *suite.Suite, rows []suite.Row, tools []ToolSpec) *Figure {
 	metric := st.Manifest.Metric()
 	fig := &Figure{

@@ -1,7 +1,11 @@
 package harness
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -34,33 +38,109 @@ func openStore(t *testing.T) *suite.Store {
 	return s
 }
 
-// The store-backed evaluation must agree exactly with the historical
-// inline path: same benchmarks (same seed schedule), same routing seeds,
-// same aggregated cells.
+// ephemeralFigure evaluates cfg the way qubikos-eval does without
+// -cache-dir: a stored evaluation over a temporary store that
+// structurally verifies every instance it generates.
+func ephemeralFigure(t *testing.T, cfg SuiteConfig, tools []ToolSpec) *Figure {
+	t.Helper()
+	store, err := suite.Open(t.TempDir(), suite.StoreOptions{Verify: cfg.Verify})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.EnsureCtx(context.Background(), cfg.Manifest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig, err := RunStoredEvalCtx(context.Background(), store, st, tools, StoredEvalOptions{Seed: cfg.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fig
+}
+
+// pinnedFigure loads a Figure pinned under testdata.
+func pinnedFigure(t *testing.T, name string) *Figure {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fig Figure
+	if err := json.Unmarshal(b, &fig); err != nil {
+		t.Fatal(err)
+	}
+	return &fig
+}
+
+// The one-shot (no -cache-dir) evaluation must reproduce, byte for byte,
+// the Figures the retired inline engine produced for the same suites:
+// same benchmarks (same seed schedule), same routing seeds, same
+// aggregated cells, for both the swap and the depth family.
 func TestStoredEvalMatchesInline(t *testing.T) {
-	cfg := tinyCfg()
-	tools := DefaultTools(2)
+	for name, cfg := range map[string]SuiteConfig{
+		"figure_swaps.json": smallSuite(),
+		"figure_depth.json": smallDepthSuite(),
+	} {
+		got, err := json.MarshalIndent(ephemeralFigure(t, cfg, DefaultTools(2)), "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(append(got, '\n')) != string(want) {
+			t.Errorf("%s: figure differs from the pinned one:\ngot:\n%s\nwant:\n%s", name, got, want)
+		}
+	}
+}
 
-	inline, err := RunFigure(cfg, tools)
-	if err != nil {
-		t.Fatal(err)
+// A swap-family figure from the one-shot path must have one cell per tool
+// and grid value, each over every circuit, with ordered ratios none of
+// which beats the proven optimum on average.
+func TestRunFigureShape(t *testing.T) {
+	fig := ephemeralFigure(t, smallSuite(), DefaultTools(2))
+	if len(fig.Cells) != 4*2 { // 4 tools x 2 swap counts
+		t.Fatalf("cells=%d want 8", len(fig.Cells))
 	}
+	for _, c := range fig.Cells {
+		if c.Circuits != 2 {
+			t.Errorf("%s n=%d circuits=%d want 2", c.Tool, c.Optimal, c.Circuits)
+		}
+		if c.MeanRatio < 1 {
+			t.Errorf("%s n=%d mean ratio %.2f below 1 — optimality violated", c.Tool, c.Optimal, c.MeanRatio)
+		}
+		if c.MinRatio > c.MeanRatio || c.MeanRatio > c.MaxRatio {
+			t.Errorf("%s n=%d ratio ordering broken: %v %v %v", c.Tool, c.Optimal, c.MinRatio, c.MeanRatio, c.MaxRatio)
+		}
+	}
+}
 
-	store := openStore(t)
-	st, err := store.Ensure(cfg.Manifest())
-	if err != nil {
-		t.Fatal(err)
+// A depth-family figure must score routed depth: every cell labeled with
+// the depth metric, every ratio >= 1 (the structural lower bound makes
+// beating the optimum impossible), and mean depth >= the grid value. Its
+// rendering labels are checked in TestRenderers.
+func TestRunFigureDepthFamily(t *testing.T) {
+	fig := ephemeralFigure(t, smallDepthSuite(), DefaultTools(2))
+	if fig.Metric != string(family.Depth) {
+		t.Fatalf("figure metric = %q, want depth", fig.Metric)
 	}
-	stored, err := RunStoredEval(store, st, tools, StoredEvalOptions{Seed: cfg.Seed})
-	if err != nil {
-		t.Fatal(err)
+	if len(fig.Cells) != 4*2 {
+		t.Fatalf("cells=%d want 8", len(fig.Cells))
 	}
-	if inline.Device != stored.Device || inline.Gates != stored.Gates {
-		t.Fatalf("figure header mismatch: inline %s/%d, stored %s/%d",
-			inline.Device, inline.Gates, stored.Device, stored.Gates)
-	}
-	if !reflect.DeepEqual(inline.Cells, stored.Cells) {
-		t.Errorf("cells differ:\ninline: %+v\nstored: %+v", inline.Cells, stored.Cells)
+	for _, c := range fig.Cells {
+		if c.Metric != string(family.Depth) {
+			t.Errorf("%s cell metric = %q, want depth", c.Tool, c.Metric)
+		}
+		if c.Circuits != 2 {
+			t.Errorf("%s d=%d circuits=%d want 2", c.Tool, c.Optimal, c.Circuits)
+		}
+		if c.MeanRatio < 1 {
+			t.Errorf("%s d=%d mean depth ratio %.2f below 1 — depth lower bound violated", c.Tool, c.Optimal, c.MeanRatio)
+		}
+		if c.MeanDepth < float64(c.Optimal) {
+			t.Errorf("%s d=%d mean depth %.1f below the optimum", c.Tool, c.Optimal, c.MeanDepth)
+		}
 	}
 }
 
@@ -84,7 +164,7 @@ func TestStoredEvalSkipsGeneration(t *testing.T) {
 	}
 
 	var streamed1 int
-	fig1, err := RunStoredEval(store, st, tools, StoredEvalOptions{
+	fig1, err := RunStoredEvalCtx(context.Background(), store, st, tools, StoredEvalOptions{
 		Seed:  cfg.Seed,
 		OnRow: func(suite.Row) { streamed1++ },
 	})
@@ -102,7 +182,7 @@ func TestStoredEvalSkipsGeneration(t *testing.T) {
 	// A second identical evaluation resumes off the log: zero new rows,
 	// zero generation, identical figure.
 	var streamed2 int
-	fig2, err := RunStoredEval(store, st, tools, StoredEvalOptions{
+	fig2, err := RunStoredEvalCtx(context.Background(), store, st, tools, StoredEvalOptions{
 		Seed:  cfg.Seed,
 		OnRow: func(suite.Row) { streamed2++ },
 	})
@@ -133,7 +213,7 @@ func TestStoredEvalParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fig, err := RunStoredEval(store, st, tools, StoredEvalOptions{Seed: cfg.Seed, Workers: workers})
+		fig, err := RunStoredEvalCtx(context.Background(), store, st, tools, StoredEvalOptions{Seed: cfg.Seed, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +240,7 @@ func TestStoredEvalSharedPreparedParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	runWith := func(workers int, key string) *Figure {
-		fig, err := RunStoredEval(store, st, tools, StoredEvalOptions{
+		fig, err := RunStoredEvalCtx(context.Background(), store, st, tools, StoredEvalOptions{
 			Seed: cfg.Seed, Workers: workers, Key: key,
 		})
 		if err != nil {
@@ -176,7 +256,7 @@ func TestStoredEvalSharedPreparedParallel(t *testing.T) {
 	}
 }
 
-// failingRouter always errors; RunStoredEval must surface the real
+// failingRouter always errors; RunStoredEvalCtx must surface the real
 // message in the row, not a generic "tool failed to route".
 type failingRouter struct{}
 
@@ -194,7 +274,7 @@ func TestStoredEvalPropagatesRouterError(t *testing.T) {
 	}
 	tools := []ToolSpec{{Name: "failing", Make: func(int64) router.Router { return failingRouter{} }}}
 	var rows []suite.Row
-	fig, err := RunStoredEval(store, st, tools, StoredEvalOptions{
+	fig, err := RunStoredEvalCtx(context.Background(), store, st, tools, StoredEvalOptions{
 		Seed:  cfg.Seed,
 		OnRow: func(r suite.Row) { rows = append(rows, r) },
 	})
@@ -235,8 +315,7 @@ func TestEvalKeyStable(t *testing.T) {
 }
 
 // A depth-family stored evaluation must score depth ratios end to end:
-// rows labeled with the metric, both achieved values recorded, and the
-// aggregate equal to the inline path.
+// rows labeled with the metric and both achieved values recorded.
 func TestStoredEvalDepthFamily(t *testing.T) {
 	cfg := SuiteConfig{
 		Device:              arch.Grid3x3(),
@@ -247,19 +326,13 @@ func TestStoredEvalDepthFamily(t *testing.T) {
 		Seed:                11,
 	}
 	tools := DefaultTools(2)
-
-	inline, err := RunFigure(cfg, tools)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	store := openStore(t)
 	st, err := store.Ensure(cfg.Manifest())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var rows []suite.Row
-	stored, err := RunStoredEval(store, st, tools, StoredEvalOptions{
+	stored, err := RunStoredEvalCtx(context.Background(), store, st, tools, StoredEvalOptions{
 		Seed:  cfg.Seed,
 		OnRow: func(r suite.Row) { rows = append(rows, r) },
 	})
@@ -268,9 +341,6 @@ func TestStoredEvalDepthFamily(t *testing.T) {
 	}
 	if stored.Metric != string(family.Depth) {
 		t.Fatalf("stored figure metric = %q, want depth", stored.Metric)
-	}
-	if !reflect.DeepEqual(inline.Cells, stored.Cells) {
-		t.Errorf("depth cells differ:\ninline: %+v\nstored: %+v", inline.Cells, stored.Cells)
 	}
 	if len(rows) != len(tools)*st.Manifest.NumInstances() {
 		t.Fatalf("streamed %d rows, want %d", len(rows), len(tools)*st.Manifest.NumInstances())
@@ -304,15 +374,9 @@ func TestStoredEvalRejectsNonPositiveOptimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunStoredEval(store, st, DefaultTools(2)[:1], StoredEvalOptions{Seed: 4})
+	_, err = RunStoredEvalCtx(context.Background(), store, st, DefaultTools(2)[:1], StoredEvalOptions{Seed: 4})
 	if err == nil || !strings.Contains(err.Error(), "no positive optimal") {
 		t.Fatalf("0-swap suite evaluation: err = %v, want a no-positive-optimum error", err)
-	}
-	// The inline path makes the same promise.
-	cfg := SuiteConfig{Device: arch.Grid3x3(), SwapCounts: []int{0}, CircuitsPerCount: 1,
-		TargetTwoQubitGates: 10, Seed: 4}
-	if _, err := RunFigure(cfg, DefaultTools(2)[:1]); err == nil {
-		t.Fatal("inline 0-swap evaluation did not error")
 	}
 }
 

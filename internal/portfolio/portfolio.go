@@ -6,11 +6,12 @@
 //
 // The scheduler layers three robustness mechanisms over the raw race:
 //
-//   - Fault isolation. Every racer runs in its own guarded goroutine
-//     under the repository's cancellation contract: a hung tool is cut
-//     off by its timeout, a panicking tool becomes a racer outcome (never
-//     a crash), and every result is audited with router.Validate before
-//     it may win — a lying tool can lose the race but never poison it.
+//   - Fault isolation. Every racer runs through Guard, the guarded tool
+//     run the evaluation sweep and qubikos-route share: a hung tool is
+//     cut off by its timeout, a panicking tool becomes a racer outcome
+//     (never a crash), and every result is audited with router.Validate
+//     and against the proven optimum before it may win — a lying tool
+//     can lose the race but never poison it.
 //   - Win conditions. A validated result that matches the proven optimum,
 //     or beats the configured threshold ratio against it, ends the race
 //     immediately: the remaining racers are cancelled through their
@@ -31,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sort"
 	"strings"
 	"time"
@@ -92,9 +92,9 @@ type Options struct {
 	Metric family.Metric
 	// HedgeDelay staggers launch tiers; 0 launches everything at once.
 	HedgeDelay time.Duration
-	// Seed feeds each tool's constructor (offset by the harness schedule,
-	// so a portfolio winner matches the evaluation pipeline's result for
-	// the same seed).
+	// Seed feeds each tool's constructor through Guard's schedule, the
+	// same one the evaluation sweep uses, so a portfolio winner matches
+	// the sweep's result for the same seed.
 	Seed int64
 	// Budget is the shared worker budget lent to router-internal
 	// parallelism; nil sizes one from GOMAXPROCS minus one reserved slot
@@ -170,20 +170,8 @@ var ErrNoAdmissibleTool = errors.New("portfolio: every tool's circuit breaker is
 // racerDone carries one guarded racer's verdict back to the event loop.
 type racerDone struct {
 	i       int // index into the launch order
-	res     *router.Result
-	score   int
-	outcome string
-	errStr  string
+	v       Verdict
 	elapsed time.Duration
-}
-
-// toolOutcome crosses the inner tool goroutine boundary (the guard).
-type toolOutcome struct {
-	res      *router.Result
-	err      error
-	panicked bool
-	panicVal any
-	stack    []byte
 }
 
 // Run races the entries over the shared routing context and returns the
@@ -242,9 +230,8 @@ func Run(ctx context.Context, p *router.Prepared, entries []Entry, opts Options)
 
 	// One reserved slot per racer; budgeted routers borrow the idle rest,
 	// so hedged racers joining later find only genuinely free slots.
-	budget := opts.Budget
-	if budget == nil {
-		budget = pool.NewBudget(runtime.GOMAXPROCS(0) - len(admitted))
+	if opts.Budget == nil {
+		opts.Budget = pool.NewBudget(runtime.GOMAXPROCS(0) - len(admitted))
 	}
 
 	start := time.Now()
@@ -252,7 +239,7 @@ func Run(ctx context.Context, p *router.Prepared, entries []Entry, opts Options)
 	launch := func(i int) {
 		r := &admitted[i]
 		r.start = time.Now()
-		go runRacer(raceCtx, p, r.entry, i, opts, budget, resCh)
+		go runRacer(raceCtx, p, r.entry, i, opts, resCh)
 	}
 	dueAt := func(i int) time.Duration {
 		return time.Duration(admitted[i].entry.Tier-minTier) * opts.HedgeDelay
@@ -263,8 +250,8 @@ func Run(ctx context.Context, p *router.Prepared, entries []Entry, opts Options)
 		if best == nil {
 			return true
 		}
-		if d.score != best.score {
-			return d.score < best.score
+		if d.v.Score != best.v.Score {
+			return d.v.Score < best.v.Score
 		}
 		// Deterministic tie-break: registration order, not arrival order.
 		return admitted[d.i].ei < admitted[best.i].ei
@@ -295,7 +282,10 @@ func Run(ctx context.Context, p *router.Prepared, entries []Entry, opts Options)
 	apply := func(d racerDone, deadlineHit bool) {
 		r := &admitted[d.i]
 		rep := &reports[r.ei]
-		outcome, errStr := d.outcome, d.errStr
+		outcome, errStr := d.v.Outcome, ""
+		if d.v.Err != nil && outcome != OutcomeCancelled {
+			errStr = d.v.Err.Error()
+		}
 		if outcome == OutcomeCancelled && deadlineHit {
 			outcome = OutcomeTimeout
 			errStr = fmt.Sprintf("race deadline %v expired", opts.Deadline)
@@ -305,10 +295,10 @@ func Run(ctx context.Context, p *router.Prepared, entries []Entry, opts Options)
 		rep.ElapsedMS = d.elapsed.Milliseconds()
 		switch outcome {
 		case OutcomeOK:
-			rep.Score = d.score
-			rep.Swaps = d.res.SwapCount
-			rep.Depth = d.res.RoutedDepth()
-			rep.Ratio = ratioOf(d.score)
+			rep.Score = d.v.Score
+			rep.Swaps = d.v.Result.SwapCount
+			rep.Depth = d.v.Result.RoutedDepth()
+			rep.Ratio = ratioOf(d.v.Score)
 			if opts.Breakers != nil {
 				opts.Breakers.Record(r.entry.Name, true, r.probe)
 			}
@@ -379,10 +369,10 @@ func Run(ctx context.Context, p *router.Prepared, entries []Entry, opts Options)
 			Racers:      reports,
 		}
 		if best != nil {
-			out.Winner = best.res
+			out.Winner = best.v.Result
 			out.Tool = admitted[best.i].entry.Name
-			out.Score = best.score
-			out.Ratio = ratioOf(best.score)
+			out.Score = best.v.Score
+			out.Ratio = ratioOf(best.v.Score)
 			reports[admitted[best.i].ei].Winner = true
 		}
 		sp.Arg("reason", reason)
@@ -431,8 +421,8 @@ func Run(ctx context.Context, p *router.Prepared, entries []Entry, opts Options)
 		case d := <-resCh:
 			finished++
 			apply(d, false)
-			if d.outcome == OutcomeOK {
-				if reason := winReason(d.score); reason != "" {
+			if d.v.Outcome == OutcomeOK {
+				if reason := winReason(d.v.Score); reason != "" {
 					return finalize(reason, false), nil
 				}
 			}
@@ -463,86 +453,16 @@ func Run(ctx context.Context, p *router.Prepared, entries []Entry, opts Options)
 	return res, nil
 }
 
-// runRacer executes one guarded racer: the tool runs in a further inner
-// goroutine so a wedged engine can be abandoned (the guard returns, the
-// goroutine leaks until its next ctx poll — the PR-6 isolation price),
-// and a panic is contained to this racer. Results are validated and
-// optimum-checked here, in parallel with the other racers.
-func runRacer(raceCtx context.Context, p *router.Prepared, e Entry, i int, opts Options, budget *pool.Budget, resCh chan<- racerDone) {
+// runRacer runs one racer through the shared Guard, in parallel with the
+// other racers, and reports its verdict to the event loop.
+func runRacer(raceCtx context.Context, p *router.Prepared, e Entry, i int, opts Options, resCh chan<- racerDone) {
 	rsp, rctx := obs.Begin(raceCtx, "portfolio", "racer")
 	defer rsp.End()
 	rsp.Arg("tool", e.Name)
 	start := time.Now()
-	send := func(d racerDone) {
-		d.i = i
-		d.elapsed = time.Since(start)
-		rsp.Arg("outcome", d.outcome)
-		resCh <- d // buffered to len(admitted); never blocks
+	v := Guard(rctx, &rsp, p, e, opts)
+	if v.Outcome == OutcomeOK {
+		rsp.ArgInt("score", int64(v.Score))
 	}
-
-	toolCtx, cancel := rctx, context.CancelFunc(func() {})
-	if opts.ToolTimeout > 0 {
-		toolCtx, cancel = context.WithTimeout(rctx, opts.ToolTimeout)
-	}
-	defer cancel()
-
-	ch := make(chan toolOutcome, 1)
-	go func() {
-		defer func() {
-			if v := recover(); v != nil {
-				ch <- toolOutcome{panicked: true, panicVal: v, stack: debug.Stack()}
-			}
-		}()
-		r := e.Make(opts.Seed + 7919)
-		if br, ok := r.(router.BudgetedRouter); ok && budget != nil {
-			br.SetWorkerBudget(budget)
-		}
-		var out toolOutcome
-		out.res, out.err = router.RoutePreparedWithContext(toolCtx, r, p)
-		ch <- out
-	}()
-
-	var out toolOutcome
-	select {
-	case out = <-ch:
-	case <-toolCtx.Done():
-		if raceCtx.Err() != nil {
-			send(racerDone{outcome: OutcomeCancelled})
-			return
-		}
-		send(racerDone{outcome: OutcomeTimeout,
-			errStr: fmt.Sprintf("tool timed out after %v", opts.ToolTimeout)})
-		return
-	}
-	if out.panicked {
-		// The stack goes to the racer's span (if traced) and the error
-		// string; the process stays up — that is the whole point.
-		send(racerDone{outcome: OutcomePanic, errStr: fmt.Sprintf("tool panicked: %v", out.panicVal)})
-		return
-	}
-	if out.err != nil {
-		if raceCtx.Err() != nil {
-			send(racerDone{outcome: OutcomeCancelled})
-			return
-		}
-		if toolCtx.Err() != nil {
-			send(racerDone{outcome: OutcomeTimeout,
-				errStr: fmt.Sprintf("tool timed out after %v", opts.ToolTimeout)})
-			return
-		}
-		send(racerDone{outcome: OutcomeError, errStr: out.err.Error()})
-		return
-	}
-	if err := router.Validate(p.Circuit, p.Device, out.res); err != nil {
-		send(racerDone{outcome: OutcomeInvalid, errStr: "invalid result: " + err.Error()})
-		return
-	}
-	score := opts.Metric.Achieved(out.res)
-	if opts.Optimal > 0 && score < opts.Optimal {
-		send(racerDone{outcome: OutcomeInvalid,
-			errStr: fmt.Sprintf("result beats the proven optimal %s: %d < %d", opts.Metric, score, opts.Optimal)})
-		return
-	}
-	rsp.ArgInt("score", int64(score))
-	send(racerDone{res: out.res, score: score, outcome: OutcomeOK})
+	resCh <- racerDone{i: i, v: v, elapsed: time.Since(start)} // buffered to len(admitted); never blocks
 }
