@@ -39,7 +39,7 @@ func main() {
 	conc := flag.Int("c", 16, "concurrent workers")
 	seed := flag.Int64("seed", 1, "request-mix seed (replays are exact)")
 	manifest := flag.String("manifest", "", "manifest to exercise: inline JSON (one manifest) or a comma-separated list of @file references; default: two built-in small suites")
-	tools := flag.String("tools", "", "tools parameter for the eval and route request classes (empty = no evals, all tools for routes)")
+	tools := flag.String("tools", "", "tools parameter for the eval and route request classes (empty = no evals, the server's default race set for routes)")
 	trials := flag.Int("trials", 1, "trials parameter for eval requests")
 	route := flag.Bool("route", false, "include POST /v1/route portfolio races in the mix")
 	routeDeadline := flag.Duration("route-deadline", 2*time.Second, "per-race deadline for route requests")

@@ -6,7 +6,8 @@
 // instance's planted optimal mapping — the paper's standalone-router
 // evaluation mode.
 //
-// With -portfolio the command races the registered tools concurrently
+// With -portfolio the command races tools concurrently — the default
+// race set (LightSABRE, ML-QLS, t|ket⟩) unless -tools names others —
 // under a -deadline budget and reports the best validated result plus a
 // per-racer outcome table (anytime semantics: the deadline degrades to
 // best-so-far; only "no tool produced a valid result" exits non-zero).
@@ -70,8 +71,8 @@ func main() {
 	fromOptimal := flag.Bool("from-optimal", false, "route from the planted optimal initial mapping")
 	timeout := flag.Duration("timeout", 0, "routing budget; an over-budget run exits non-zero instead of hanging (0 = unlimited; per-racer budget with -portfolio)")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON of the routing run to this file")
-	usePortfolio := flag.Bool("portfolio", false, "race the registered tools concurrently and keep the best validated result")
-	toolsList := flag.String("tools", "", "comma-separated tool subset for -portfolio (default: all registered)")
+	usePortfolio := flag.Bool("portfolio", false, "race tools concurrently (see -tools) and keep the best validated result")
+	toolsList := flag.String("tools", "", "comma-separated tool subset for -portfolio (default: lightsabre,ml-qls,tket; name qmap to race it too)")
 	deadline := flag.Duration("deadline", 30*time.Second, "race budget for -portfolio; when it fires the best result so far wins")
 	threshold := flag.Float64("threshold", 0, "win-condition ratio vs the proven optimum for -portfolio (0 = race to completion)")
 	hedge := flag.Duration("hedge", 100*time.Millisecond, "hedge stagger between tool cost tiers for -portfolio (0 = launch everything at once)")
@@ -172,17 +173,9 @@ func main() {
 // supplies the constructors so a portfolio winner matches what the
 // evaluation pipeline would produce for the same seed.
 func runPortfolio(ctx context.Context, inst *family.Loaded, base, toolsList string, trials int, seed int64, deadline, hedge, toolTimeout time.Duration, threshold float64) error {
-	specs, err := harness.SelectTools(toolsList, trials)
+	entries, err := harness.RaceEntries(toolsList, trials, harness.SelectTools)
 	if err != nil {
 		return err
-	}
-	entries := make([]portfolio.Entry, 0, len(specs))
-	for _, t := range specs {
-		entries = append(entries, portfolio.Entry{
-			Name: t.Name,
-			Make: t.Make,
-			Tier: portfolio.DefaultTier(t.Name),
-		})
 	}
 	p, err := router.Prepare(inst.Circuit, inst.Device)
 	if err != nil {

@@ -85,6 +85,18 @@ func TestCommandPipeline(t *testing.T) {
 	if !strings.Contains(out, "routing from the optimal mapping") {
 		t.Fatalf("route -from-optimal output unexpected:\n%s", out)
 	}
+	// A portfolio race without -tools runs the default race set, which
+	// leaves QMAP out.
+	out = run(t, filepath.Join(bins, "qubikos-route"),
+		"-dir", work, "-base", base, "-portfolio", "-trials", "8", "-hedge", "0")
+	if !strings.Contains(out, "winner:") || strings.Contains(out, "qmap") {
+		t.Fatalf("route -portfolio output unexpected:\n%s", out)
+	}
+	for _, name := range []string{"lightsabre", "ml-qls", "tket"} {
+		if !strings.Contains(out, "  "+name+" ") {
+			t.Errorf("route -portfolio raced no %s:\n%s", name, out)
+		}
+	}
 
 	// A sidecar claiming an optimum above what the tools achieve is
 	// caught by the audit in both single-tool modes, never printed as a

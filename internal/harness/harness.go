@@ -31,6 +31,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/olsq"
 	"repro/internal/pool"
+	"repro/internal/portfolio"
 	"repro/internal/qmap"
 	"repro/internal/qubikos"
 	"repro/internal/router"
@@ -100,6 +101,47 @@ func SelectTools(list string, sabreTrials int) ([]ToolSpec, error) {
 		out = append(out, t)
 	}
 	return out, nil
+}
+
+// raceTools is the default race set, in registration order: the tools a
+// POST /v1/route or qubikos-route -portfolio race runs when the request
+// names none. QMAP is left out: it never strictly beat the other racers
+// (TestDefaultRaceMissesNoStrictWin), yet it took a quarter of the race
+// time under serve load. Naming it in a tools list still races it.
+// Sweeps and evals run every registered tool.
+var raceTools = []string{"lightsabre", "ml-qls", "tket"}
+
+// RaceEntries resolves a race's comma-separated tool list into portfolio
+// entries carrying their hedge tiers. An empty list selects the default
+// race set. sel resolves the names; front ends pass SelectTools or a
+// fault-injection seam.
+func RaceEntries(list string, sabreTrials int, sel func(list string, sabreTrials int) ([]ToolSpec, error)) ([]portfolio.Entry, error) {
+	if strings.TrimSpace(list) == "" {
+		list = strings.Join(raceTools, ",")
+	}
+	specs, err := sel(list, sabreTrials)
+	if err != nil {
+		return nil, err
+	}
+	entries := make([]portfolio.Entry, len(specs))
+	for i, t := range specs {
+		entries[i] = portfolio.Entry{Name: t.Name, Make: t.Make, Tier: raceTier(t.Name)}
+	}
+	return entries, nil
+}
+
+// raceTier returns a tool's hedge tier, ordered by measured cost
+// (BENCH_routers.json): t|ket⟩ and ML-QLS are millisecond-class,
+// LightSABRE hundreds of milliseconds, QMAP the most expensive. Unknown
+// tools land in the middle.
+func raceTier(tool string) int {
+	switch tool {
+	case "tket", "ml-qls":
+		return 0
+	case "qmap":
+		return 2
+	}
+	return 1
 }
 
 // SuiteConfig describes one Figure-4 style suite: a benchmark family, a

@@ -54,22 +54,6 @@ type Entry struct {
 	Tier int
 }
 
-// DefaultTier returns the hedge tier used for the repository's tools,
-// ordered by measured cost (BENCH_routers.json): t|ket⟩ and ML-QLS are
-// millisecond-class, LightSABRE hundreds of milliseconds, QMAP the most
-// expensive. Unknown tools land in the middle.
-func DefaultTier(tool string) int {
-	switch tool {
-	case "tket", "ml-qls":
-		return 0
-	case "lightsabre":
-		return 1
-	case "qmap":
-		return 2
-	}
-	return 1
-}
-
 // Options tunes one race.
 type Options struct {
 	// Deadline bounds the whole race; when it fires the best validated

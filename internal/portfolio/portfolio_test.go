@@ -351,15 +351,3 @@ func TestRunCallerCancelIsError(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
-
-func TestDefaultTier(t *testing.T) {
-	if DefaultTier("tket") != 0 || DefaultTier("ml-qls") != 0 {
-		t.Error("millisecond-class tools must be tier 0")
-	}
-	if DefaultTier("qmap") <= DefaultTier("lightsabre") {
-		t.Error("qmap must hedge after lightsabre")
-	}
-	if DefaultTier("mystery") != 1 {
-		t.Error("unknown tools default to the middle tier")
-	}
-}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/circuit"
 	"repro/internal/family"
+	"repro/internal/harness"
 	"repro/internal/portfolio"
 	"repro/internal/router"
 	"repro/internal/suite"
@@ -43,7 +44,8 @@ type routeRequest struct {
 	// (raw form only; the stored form reads it from the sidecar).
 	Optimal int `json:"optimal,omitempty"`
 
-	// Tools is the comma-separated tool list ("" = all registered).
+	// Tools is the comma-separated tool list ("" = the default race set:
+	// lightsabre, ml-qls and tket).
 	Tools string `json:"tools,omitempty"`
 	// Trials is the SABRE-style trial count for tools that take one.
 	Trials int `json:"trials,omitempty"`
@@ -80,12 +82,13 @@ type routeResponse struct {
 	QASM        string            `json:"qasm,omitempty"`
 }
 
-// handleRoute races the registered tools over one instance under a
-// deadline budget and returns the best validated result — the portfolio
-// front end of the service. Anytime semantics end to end: a deadline
-// degrades to best-so-far with deadline_hit set; only "no tool produced
-// a valid result" (or "every breaker is open") is an error, and both are
-// 503 + Retry-After because they are transient by construction.
+// handleRoute races the requested tools (default: harness's race set)
+// over one instance under a deadline budget and returns the best
+// validated result — the portfolio front end of the service. Anytime
+// semantics end to end: a deadline degrades to best-so-far with
+// deadline_hit set; only "no tool produced a valid result" (or "every
+// breaker is open") is an error, and both are 503 + Retry-After because
+// they are transient by construction.
 func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	var req routeRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
@@ -103,18 +106,10 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	if trials <= 0 {
 		trials = 8
 	}
-	tools, err := s.opts.SelectTools(req.Tools, trials)
+	entries, err := harness.RaceEntries(req.Tools, trials, s.opts.SelectTools)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
-	}
-	entries := make([]portfolio.Entry, 0, len(tools))
-	for _, t := range tools {
-		entries = append(entries, portfolio.Entry{
-			Name: t.Name,
-			Make: t.Make,
-			Tier: portfolio.DefaultTier(t.Name),
-		})
 	}
 
 	deadline := s.routeMaxDeadline()

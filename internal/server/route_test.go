@@ -331,3 +331,90 @@ func grepLines(s, substr string) string {
 	}
 	return strings.Join(out, "\n")
 }
+
+// realRoute races real tools over the tiny suite's instance with the
+// given extra request fields, every tier launched at once.
+func realRoute(t *testing.T, extra string) routeResponse {
+	t.Helper()
+	ts, _ := newTestServer(t)
+	var st suite.Suite
+	if err := json.NewDecoder(post(t, ts.URL+"/v1/suites", tinyManifestJSON).Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	resp := post(t, ts.URL+"/v1/route", fmt.Sprintf(`{"suite": %q, "instance": %q, "trials": 2, "hedge_ms": -1%s}`,
+		st.Hash, st.Instances[0].Base, extra))
+	if resp.StatusCode != http.StatusOK {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("status %d: %s", resp.StatusCode, b)
+	}
+	return routeBody(t, resp)
+}
+
+func racerTools(out routeResponse) []string {
+	var names []string
+	for _, r := range out.Racers {
+		names = append(names, r.Tool)
+	}
+	return names
+}
+
+// A route request that names no tools races the default race set, in
+// registration order: QMAP is not among them.
+func TestRouteDefaultRaceSet(t *testing.T) {
+	out := realRoute(t, "")
+	if got, want := strings.Join(racerTools(out), ","), "lightsabre,ml-qls,tket"; got != want {
+		t.Fatalf("default race ran %s, want %s", got, want)
+	}
+}
+
+// Naming QMAP still races it, at its tier-2 hedge slot.
+func TestRouteNamedQmapStillRaces(t *testing.T) {
+	out := realRoute(t, `, "tools": "lightsabre,qmap"`)
+	if got, want := strings.Join(racerTools(out), ","), "lightsabre,qmap"; got != want {
+		t.Fatalf("race ran %s, want %s", got, want)
+	}
+	q := out.Racers[1]
+	if q.Tier != 2 {
+		t.Errorf("qmap raced at tier %d, want 2", q.Tier)
+	}
+	// hedge_ms -1 launches every tier at once, so QMAP ran: it either
+	// finished or was cancelled by an optimal win.
+	if q.Outcome != portfolio.OutcomeOK && q.Outcome != portfolio.OutcomeCancelled {
+		t.Errorf("qmap outcome = %q, want ok or cancelled", q.Outcome)
+	}
+}
+
+// Evals keep every registered tool: the paper's experiment compares all
+// four, so the race's default set does not apply to them.
+func TestEvalDefaultRunsAllTools(t *testing.T) {
+	ts, _ := newTestServer(t)
+	var st suite.Suite
+	if err := json.NewDecoder(post(t, ts.URL+"/v1/suites", tinyManifestJSON).Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	r := post(t, ts.URL+"/v1/suites/"+st.Hash+"/eval?trials=2", "")
+	if r.StatusCode != http.StatusOK {
+		t.Fatalf("eval: status %d", r.StatusCode)
+	}
+	dec := json.NewDecoder(r.Body)
+	seen := map[string]bool{}
+	for dec.More() {
+		var row struct {
+			Tool string `json:"tool"`
+		}
+		if err := dec.Decode(&row); err != nil {
+			t.Fatal(err)
+		}
+		if row.Tool != "" {
+			seen[row.Tool] = true
+		}
+	}
+	for _, name := range harness.ToolNames() {
+		if !seen[name] {
+			t.Errorf("eval without tools has no %s row (rows from %v)", name, seen)
+		}
+	}
+	if len(seen) != len(harness.ToolNames()) {
+		t.Errorf("eval rows from %v, want exactly %v", seen, harness.ToolNames())
+	}
+}
