@@ -86,10 +86,8 @@ func main() {
 		fatal(err)
 	}
 
-	// The routing honours SIGINT/SIGTERM through one context; routers
-	// that implement the ctx-aware interfaces stop mid-search, legacy
-	// ones are at least refused up front when the budget is already
-	// spent.
+	// The routing honours SIGINT/SIGTERM through one context, which
+	// every tool polls mid-search.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -230,7 +228,11 @@ type placed struct {
 }
 
 func (p placed) Route(c *circuit.Circuit, dev *arch.Device) (*router.Result, error) {
-	return p.RouteFrom(c, dev, p.initial)
+	return router.PrepareAndRoute(p, c, dev)
+}
+
+func (p placed) RoutePreparedCtx(ctx context.Context, prep *router.Prepared) (*router.Result, error) {
+	return p.RouteFrom(ctx, prep, p.initial)
 }
 
 func (p placed) Counters() router.Counters {

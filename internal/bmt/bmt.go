@@ -15,6 +15,7 @@
 package bmt
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/arch"
@@ -56,8 +57,9 @@ type segment struct {
 // segmentize splits the skeleton into maximal embeddable prefixes. Each
 // returned segment's interaction graph embeds into the coupling graph via
 // the recorded mapping. VF2 is only consulted when the incoming gate
-// breaks the current embedding, which keeps the common case cheap.
-func (r *Router) segmentize(skeleton *circuit.Circuit, gc *graph.Graph) ([]segment, error) {
+// breaks the current embedding, which keeps the common case cheap; ctx
+// is checked before each such search.
+func (r *Router) segmentize(ctx context.Context, skeleton *circuit.Circuit, gc *graph.Graph) ([]segment, error) {
 	nQ := skeleton.NumQubits
 	var segments []segment
 	segGraph := graph.New(nQ)
@@ -82,6 +84,9 @@ func (r *Router) segmentize(skeleton *circuit.Circuit, gc *graph.Graph) ([]segme
 			}
 			segGates = append(segGates, g)
 			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("bmt: %w", err)
 		}
 		hadEdge := segGraph.HasEdge(g.Q0, g.Q1)
 		if !hadEdge {
@@ -115,15 +120,17 @@ func (r *Router) segmentize(skeleton *circuit.Circuit, gc *graph.Graph) ([]segme
 
 // Route implements router.Router.
 func (r *Router) Route(c *circuit.Circuit, dev *arch.Device) (*router.Result, error) {
-	if c.NumQubits > dev.NumQubits() {
-		return nil, fmt.Errorf("bmt: circuit needs %d qubits, device has %d", c.NumQubits, dev.NumQubits())
-	}
-	work := router.PadToDevice(c, dev)
-	skeleton := router.TwoQubitSkeleton(work)
+	return router.PrepareAndRoute(r, c, dev)
+}
+
+// RoutePreparedCtx implements router.Router. Cancellation is checked
+// before every VF2 search and between segment transitions.
+func (r *Router) RoutePreparedCtx(ctx context.Context, p *router.Prepared) (*router.Result, error) {
+	dev, work, skeleton := p.Device, p.Padded, p.Skeleton
 	gc := dev.Graph()
 	nQ := skeleton.NumQubits
 
-	segments, err := r.segmentize(skeleton, gc)
+	segments, err := r.segmentize(ctx, skeleton, gc)
 	if err != nil {
 		return nil, err
 	}
@@ -151,6 +158,9 @@ func (r *Router) Route(c *circuit.Circuit, dev *arch.Device) (*router.Result, er
 	swaps := 0
 	for si, seg := range segments {
 		if si > 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("bmt: %w", err)
+			}
 			trans, err := tokenswap.TransitionDist(gc, dev.Distances(), cur, seg.mapping)
 			if err != nil {
 				return nil, fmt.Errorf("bmt: transition %d: %w", si, err)
@@ -186,7 +196,7 @@ func (r *Router) Route(c *circuit.Circuit, dev *arch.Device) (*router.Result, er
 // the count is at least OptSwaps+1... unless padding merges differently).
 func (r *Router) SegmentCount(c *circuit.Circuit, dev *arch.Device) (int, error) {
 	work := router.PadToDevice(c, dev)
-	segments, err := r.segmentize(router.TwoQubitSkeleton(work), dev.Graph())
+	segments, err := r.segmentize(context.Background(), router.TwoQubitSkeleton(work), dev.Graph())
 	if err != nil {
 		return 0, err
 	}

@@ -53,14 +53,13 @@ const (
 var ErrInjected = errors.New("chaos: injected tool failure")
 
 // ErrReleased reports a HangUntilCancel hang that was broken by Release
-// rather than by cancellation (the escape hatch for exercising the
-// uncancellable legacy path without wedging the test binary).
+// rather than by cancellation (the escape hatch for exercising Route,
+// whose context never fires, without wedging the test binary).
 var ErrReleased = errors.New("chaos: hang released without cancellation")
 
-// Router wraps an inner QLS tool with one injected fault. It implements
-// the full cancellable contract (router.RouterCtx and
-// router.PreparedRouterCtx), so it passes through every dispatch path
-// the harness uses for real tools.
+// Router wraps an inner QLS tool with one injected fault. It is a
+// router.Router like any real tool, so it runs through the same
+// RoutePreparedCtx path the harness and the portfolio use.
 type Router struct {
 	Inner router.Router
 	Mode  Mode
@@ -81,11 +80,6 @@ type Router struct {
 	// count survives across fresh per-race Router instances.
 	FirstN *FlakyGate
 }
-
-var (
-	_ router.RouterCtx         = (*Router)(nil)
-	_ router.PreparedRouterCtx = (*Router)(nil)
-)
 
 // Name labels the wrapper with its inner tool so chaos rows are
 // recognizable in logs and figures.
@@ -146,23 +140,14 @@ func (r *Router) corrupt(res *router.Result) *router.Result {
 // Route implements router.Router; an injected hang with no Release (and
 // no context to fire) blocks forever, as a wedged tool would.
 func (r *Router) Route(c *circuit.Circuit, dev *arch.Device) (*router.Result, error) {
-	return r.RouteCtx(context.Background(), c, dev)
+	return router.PrepareAndRoute(r, c, dev)
 }
 
-// RouteCtx implements router.RouterCtx.
-func (r *Router) RouteCtx(ctx context.Context, c *circuit.Circuit, dev *arch.Device) (*router.Result, error) {
-	if err := r.fault(ctx); err != nil {
-		return nil, fmt.Errorf("%s: %w", r.Name(), err)
-	}
-	res, err := router.RouteWithContext(ctx, r.Inner, c, dev)
-	return r.corrupt(res), err
-}
-
-// RoutePreparedCtx implements router.PreparedRouterCtx.
+// RoutePreparedCtx implements router.Router.
 func (r *Router) RoutePreparedCtx(ctx context.Context, p *router.Prepared) (*router.Result, error) {
 	if err := r.fault(ctx); err != nil {
 		return nil, fmt.Errorf("%s: %w", r.Name(), err)
 	}
-	res, err := router.RoutePreparedWithContext(ctx, r.Inner, p)
+	res, err := r.Inner.RoutePreparedCtx(ctx, p)
 	return r.corrupt(res), err
 }

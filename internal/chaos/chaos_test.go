@@ -73,7 +73,7 @@ func TestHangUntilCancelHonoursBothExits(t *testing.T) {
 	r.Release = release
 	done := make(chan error, 1)
 	go func() {
-		_, err := r.Route(p.Circuit, p.Device) // uncancellable legacy path
+		_, err := r.Route(p.Circuit, p.Device) // Route's context never fires
 		done <- err
 	}()
 	select {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -44,8 +45,12 @@ func RunRouterStudy(cfg RouterStudyConfig, tools []ToolSpec) ([]RouterRow, error
 				if b.OptSwaps != n {
 					continue
 				}
+				p, err := router.Prepare(b.Circuit, b.Device)
+				if err != nil {
+					return nil, err
+				}
 				pr := tool.Make(cfg.Suite.Seed + 101).(router.PlacedRouter)
-				res, err := pr.RouteFrom(b.Circuit, b.Device, plantedMapping(b))
+				res, err := pr.RouteFrom(context.Background(), p, plantedMapping(b))
 				if err != nil {
 					return nil, fmt.Errorf("harness: %s RouteFrom: %w", tool.Name, err)
 				}

@@ -261,7 +261,10 @@ func TestStoredEvalSharedPreparedParallel(t *testing.T) {
 type failingRouter struct{}
 
 func (failingRouter) Name() string { return "failing" }
-func (failingRouter) Route(*circuit.Circuit, *arch.Device) (*router.Result, error) {
+func (r failingRouter) Route(c *circuit.Circuit, dev *arch.Device) (*router.Result, error) {
+	return router.PrepareAndRoute(r, c, dev)
+}
+func (failingRouter) RoutePreparedCtx(context.Context, *router.Prepared) (*router.Result, error) {
 	return nil, errors.New("synthetic failure: boom")
 }
 

@@ -1,6 +1,7 @@
 package mlqls_test
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"testing"
@@ -70,9 +71,13 @@ func TestGoldenCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 			r := mlqls.New(gc.opts)
+			p, err := router.Prepare(b.Circuit, dev)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var res *router.Result
 			if gc.placed {
-				res, err = r.RouteFrom(b.Circuit, dev, b.InitialMapping)
+				res, err = r.RouteFrom(context.Background(), p, b.InitialMapping)
 			} else {
 				res, err = r.Route(b.Circuit, dev)
 			}

@@ -88,13 +88,13 @@ func (r *Router) SetWorkerBudget(b *pool.Budget) { r.budget = b }
 // RouteFrom implements router.PlacedRouter: ML-QLS's routing stage (the
 // SABRE-style engine with the tool's reduced trial budget) runs from the
 // supplied placement instead of the multilevel one.
-func (r *Router) RouteFrom(c *circuit.Circuit, dev *arch.Device, initial router.Mapping) (*router.Result, error) {
+func (r *Router) RouteFrom(ctx context.Context, p *router.Prepared, initial router.Mapping) (*router.Result, error) {
 	eng := sabre.NewFixedMapping(sabre.Options{
 		Trials: r.opts.RoutingTrials,
 		Seed:   r.opts.Seed + 1,
-	}, router.PadMapping(initial, dev.NumQubits()))
+	}, router.PadMapping(initial, p.Device.NumQubits()))
 	eng.SetWorkerBudget(r.budget)
-	res, err := eng.Route(c, dev)
+	res, err := eng.RoutePreparedCtx(ctx, p)
 	if err != nil {
 		return nil, fmt.Errorf("mlqls: %w", err)
 	}
@@ -163,30 +163,15 @@ type level struct {
 
 // Route implements router.Router.
 func (r *Router) Route(c *circuit.Circuit, dev *arch.Device) (*router.Result, error) {
-	return r.RouteCtx(context.Background(), c, dev)
+	return router.PrepareAndRoute(r, c, dev)
 }
 
-// RouteCtx implements router.RouterCtx.
-func (r *Router) RouteCtx(ctx context.Context, c *circuit.Circuit, dev *arch.Device) (*router.Result, error) {
-	p, err := router.Prepare(c, dev)
-	if err != nil {
-		return nil, fmt.Errorf("mlqls: %w", err)
-	}
-	return r.RoutePreparedCtx(ctx, p)
-}
-
-// RoutePrepared implements router.PreparedRouter: the multilevel
-// placement runs over the shared skeleton and the SABRE routing stage
-// reuses the shared DAGs, producing exactly the result Route would.
-func (r *Router) RoutePrepared(p *router.Prepared) (*router.Result, error) {
-	return r.RoutePreparedCtx(context.Background(), p)
-}
-
-// RoutePreparedCtx implements router.PreparedRouterCtx. The placement
-// hierarchy checks for cancellation between coarsening rounds and
-// refinement levels (its stages are polynomial and small, so latency is
-// bounded by one level's work); the SABRE routing stage polls inside
-// its decision loop.
+// RoutePreparedCtx implements router.Router: the multilevel placement
+// runs over the shared skeleton and RouteFrom routes from it, reusing
+// the shared DAGs. The placement hierarchy checks for cancellation
+// between coarsening rounds and refinement levels (its stages are
+// polynomial and small, so latency is bounded by one level's work); the
+// SABRE routing stage polls inside its decision loop.
 func (r *Router) RoutePreparedCtx(ctx context.Context, p *router.Prepared) (*router.Result, error) {
 	rng := rand.New(rand.NewSource(r.opts.Seed))
 	var check router.CtxChecker
@@ -195,20 +180,7 @@ func (r *Router) RoutePreparedCtx(ctx context.Context, p *router.Prepared) (*rou
 	if err := check.Err(); err != nil {
 		return nil, fmt.Errorf("mlqls: %w", err)
 	}
-
-	// Route with a SABRE engine pinned to the multilevel placement.
-	eng := sabre.NewFixedMapping(sabre.Options{
-		Trials: r.opts.RoutingTrials,
-		Seed:   r.opts.Seed + 1,
-	}, placement)
-	eng.SetWorkerBudget(r.budget)
-	res, err := eng.RoutePreparedCtx(ctx, p)
-	if err != nil {
-		return nil, fmt.Errorf("mlqls: %w", err)
-	}
-	r.stats.Add(eng.Counters())
-	res.Tool = r.Name()
-	return res, nil
+	return r.RouteFrom(ctx, p, placement)
 }
 
 // multilevelPlace builds the coarsening hierarchy, places the coarsest

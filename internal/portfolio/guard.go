@@ -76,7 +76,7 @@ func Guard(ctx context.Context, sp *obs.Span, p *router.Prepared, e Entry, opts 
 			br.SetWorkerBudget(budget)
 		}
 		out := toolReturn{r: r}
-		out.res, out.err = router.RoutePreparedWithContext(toolCtx, r, p)
+		out.res, out.err = r.RoutePreparedCtx(toolCtx, p)
 		ch <- out
 	}()
 

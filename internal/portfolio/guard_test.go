@@ -106,7 +106,7 @@ func TestRunReportsPanicStack(t *testing.T) {
 // optimum, and checks no bound when the optimum is unknown.
 func TestAudit(t *testing.T) {
 	p, opt := prep(t)
-	res, err := sabre.New(sabre.Options{Trials: 1, Seed: 3}).RoutePrepared(p)
+	res, err := sabre.New(sabre.Options{Trials: 1, Seed: 3}).RoutePreparedCtx(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

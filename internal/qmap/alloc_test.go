@@ -6,6 +6,7 @@
 package qmap_test
 
 import (
+	"context"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -42,13 +43,13 @@ func TestWarmRouteAllocatesOnlyItsResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := qmap.New(gc.opts).RoutePrepared(p); err != nil {
+	if _, err := qmap.New(gc.opts).RoutePreparedCtx(context.Background(), p); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	r := qmap.New(gc.opts)
-	res, err := r.RoutePrepared(p)
+	res, err := r.RoutePreparedCtx(context.Background(), p)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package qmap_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -95,9 +96,13 @@ func routeGolden(gc goldenCase, opts qmap.Options) error {
 		return err
 	}
 	r := qmap.New(opts)
+	p, err := router.Prepare(b.Circuit, dev)
+	if err != nil {
+		return err
+	}
 	var res *router.Result
 	if gc.placed {
-		res, err = r.RouteFrom(b.Circuit, dev, b.InitialMapping)
+		res, err = r.RouteFrom(context.Background(), p, b.InitialMapping)
 	} else {
 		res, err = r.Route(b.Circuit, dev)
 	}

@@ -101,9 +101,9 @@ func (r *Router) Counters() router.Counters { return r.stats }
 func New(opts Options) *Router { return &Router{opts: opts.withDefaults()} }
 
 // RouteFrom implements router.PlacedRouter.
-func (r *Router) RouteFrom(c *circuit.Circuit, dev *arch.Device, initial router.Mapping) (*router.Result, error) {
-	pinned := &Router{opts: r.opts, initial: router.PadMapping(initial, dev.NumQubits())}
-	res, err := pinned.Route(c, dev)
+func (r *Router) RouteFrom(ctx context.Context, p *router.Prepared, initial router.Mapping) (*router.Result, error) {
+	pinned := &Router{opts: r.opts, initial: router.PadMapping(initial, p.Device.NumQubits())}
+	res, err := pinned.RoutePreparedCtx(ctx, p)
 	r.stats.Add(pinned.stats)
 	return res, err
 }
@@ -113,29 +113,13 @@ func (r *Router) Name() string { return "qmap" }
 
 // Route implements router.Router.
 func (r *Router) Route(c *circuit.Circuit, dev *arch.Device) (*router.Result, error) {
-	return r.RouteCtx(context.Background(), c, dev)
+	return router.PrepareAndRoute(r, c, dev)
 }
 
-// RouteCtx implements router.RouterCtx: Route under a cancellation
-// context, polled once per A* expansion wave.
-func (r *Router) RouteCtx(ctx context.Context, c *circuit.Circuit, dev *arch.Device) (*router.Result, error) {
-	p, err := router.Prepare(c, dev)
-	if err != nil {
-		return nil, fmt.Errorf("qmap: %w", err)
-	}
-	return r.RoutePreparedCtx(ctx, p)
-}
-
-// RoutePrepared implements router.PreparedRouter: it routes from a
-// shared pre-built context, producing exactly the result Route would.
-func (r *Router) RoutePrepared(p *router.Prepared) (*router.Result, error) {
-	return r.RoutePreparedCtx(context.Background(), p)
-}
-
-// RoutePreparedCtx implements router.PreparedRouterCtx. Cancellation
-// cuts the per-layer A* short exactly as node exhaustion would; the
-// layer loop then aborts before emitting anything from the truncated
-// search, so no partial result escapes.
+// RoutePreparedCtx implements router.Router. Cancellation, polled
+// once per A* node expansion, cuts the per-layer A* short exactly as
+// node exhaustion would; the layer loop then aborts before emitting
+// anything from the truncated search, so no partial result escapes.
 func (r *Router) RoutePreparedCtx(ctx context.Context, p *router.Prepared) (*router.Result, error) {
 	mapping := r.placement(p)
 	// The engine goes back to the pool on every return, errors included;

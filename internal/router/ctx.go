@@ -1,62 +1,13 @@
 package router
 
-import (
-	"context"
+import "context"
 
-	"repro/internal/arch"
-	"repro/internal/circuit"
-)
-
-// RouterCtx is a Router whose search can be cancelled. RouteCtx must
-// return promptly (within a bounded number of decision-loop iterations)
-// once ctx is done, reporting ctx.Err() — possibly wrapped — instead of
-// a Result. With a context that never fires, RouteCtx must be
-// behaviourally identical to Route: bit-identical results and no extra
-// allocations in the warm decision loop (the CtxChecker below is how
-// implementations meet that bar).
-type RouterCtx interface {
-	Router
-	RouteCtx(ctx context.Context, c *circuit.Circuit, dev *arch.Device) (*Result, error)
-}
-
-// PreparedRouterCtx is the cancellable analogue of PreparedRouter: it
-// routes from a shared pre-built context under a cancellation context.
-// The same contract applies — identical to RoutePrepared when ctx never
-// fires, prompt ctx.Err() when it does, and no mutation of p.
-type PreparedRouterCtx interface {
-	Router
-	RoutePreparedCtx(ctx context.Context, p *Prepared) (*Result, error)
-}
-
-// RouteWithContext routes c on dev through the most capable interface r
-// implements: RouterCtx when available, plain Route otherwise. Callers
-// that hold a context should always go through this helper (or
-// RoutePreparedWithContext) so cancellation reaches every tool that can
-// honour it.
-func RouteWithContext(ctx context.Context, r Router, c *circuit.Circuit, dev *arch.Device) (*Result, error) {
-	if rc, ok := r.(RouterCtx); ok {
-		return rc.RouteCtx(ctx, c, dev)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return r.Route(c, dev)
-}
-
-// RoutePreparedWithContext routes from a shared Prepared through the
-// most capable interface r implements, in preference order:
-// PreparedRouterCtx, PreparedRouter, RouterCtx, Router.
+// RoutePreparedWithContext is r.RoutePreparedCtx(ctx, p). Only the
+// benchmark's sweep workload (e2ebench/sweep.go) still calls it; the
+// benchmark change that ports that file to Router.RoutePreparedCtx
+// deletes it.
 func RoutePreparedWithContext(ctx context.Context, r Router, p *Prepared) (*Result, error) {
-	if pc, ok := r.(PreparedRouterCtx); ok {
-		return pc.RoutePreparedCtx(ctx, p)
-	}
-	if pr, ok := r.(PreparedRouter); ok {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return pr.RoutePrepared(p)
-	}
-	return RouteWithContext(ctx, r, p.Circuit, p.Device)
+	return r.RoutePreparedCtx(ctx, p)
 }
 
 // ctxCheckInterval is how many Tick calls a CtxChecker lets pass between
@@ -70,7 +21,7 @@ const ctxCheckInterval = 256
 // CtxChecker amortizes context-cancellation polling over the iterations
 // of a hot decision loop. The zero value is inert (never reports
 // cancellation, costs one branch per Tick), which lets engines embed it
-// unconditionally: uncancellable entry points simply leave it zero.
+// unconditionally: code that never cancels simply leaves it zero.
 //
 // Reset installs a context; Tick is then called once per loop iteration
 // and polls ctx.Err() every ctxCheckInterval ticks, caching a non-nil

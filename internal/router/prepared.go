@@ -1,6 +1,7 @@
 package router
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -62,6 +63,16 @@ func Prepare(c *circuit.Circuit, dev *arch.Device) (*Prepared, error) {
 	}, nil
 }
 
+// PrepareAndRoute prepares (c, dev) and routes it with r under a
+// context that never fires. It is the body of every tool's Route.
+func PrepareAndRoute(r Router, c *circuit.Circuit, dev *arch.Device) (*Result, error) {
+	p, err := Prepare(c, dev)
+	if err != nil {
+		return nil, err
+	}
+	return r.RoutePreparedCtx(context.Background(), p)
+}
+
 // DAG returns the dependency DAG over the two-qubit skeleton, built on
 // first use and shared afterwards. Callers must not mutate it.
 func (p *Prepared) DAG() *circuit.DAG {
@@ -92,15 +103,4 @@ func ReverseSkeleton(c *circuit.Circuit) *circuit.Circuit {
 		out.MustAppend(c.Gates[i])
 	}
 	return out
-}
-
-// PreparedRouter is a tool that can route from a shared pre-built
-// context instead of deriving its own. RoutePrepared must produce
-// exactly the Result Route would for (p.Circuit, p.Device) — the
-// prepared path is a pure performance channel, never a behavioural one
-// — and must not mutate p or anything reachable from it, because the
-// harness hands one Prepared to several tools, possibly concurrently.
-type PreparedRouter interface {
-	Router
-	RoutePrepared(p *Prepared) (*Result, error)
 }

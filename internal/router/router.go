@@ -6,6 +6,7 @@
 package router
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/arch"
@@ -91,9 +92,22 @@ func (r *Result) RoutedDepth() int { return r.Transpiled.TwoQubitDepth() }
 type Router interface {
 	// Name identifies the tool in experiment tables.
 	Name() string
-	// Route maps and routes the circuit for the device, returning a valid
-	// Result or an error.
+	// Route is RoutePreparedCtx on a fresh Prepare(c, dev) under a
+	// context that never fires (PrepareAndRoute).
 	Route(c *circuit.Circuit, dev *arch.Device) (*Result, error)
+	// RoutePreparedCtx maps and routes p's circuit for its device,
+	// returning a valid Result or an error. It is the one method that
+	// routes; every caller holding a context goes through it.
+	//
+	// It must not mutate p or anything reachable from it: the harness
+	// hands one Prepared to several tools, possibly concurrently. With a
+	// context that never fires it must produce exactly the result Route
+	// does, with no extra allocations in the warm decision loop
+	// (CtxChecker is how implementations meet that bar). Once ctx is
+	// done it must return promptly, within a bounded number of
+	// decision-loop iterations, reporting ctx.Err() (possibly wrapped)
+	// and no Result.
+	RoutePreparedCtx(ctx context.Context, p *Prepared) (*Result, error)
 }
 
 // BudgetedRouter is a tool whose internal parallelism (SABRE's trial
@@ -119,10 +133,10 @@ type BudgetedRouter interface {
 // and attribute any remaining gap to routing alone (Section IV-C).
 type PlacedRouter interface {
 	Router
-	// RouteFrom routes the circuit starting from the given initial
-	// mapping (placement is not searched). A short mapping is padded to
-	// the device with ancilla assignments.
-	RouteFrom(c *circuit.Circuit, dev *arch.Device, initial Mapping) (*Result, error)
+	// RouteFrom routes p starting from the given initial mapping
+	// (placement is not searched) under the RoutePreparedCtx contract.
+	// A short mapping is padded to the device with ancilla assignments.
+	RouteFrom(ctx context.Context, p *Prepared, initial Mapping) (*Result, error)
 }
 
 // PadMapping extends a mapping to cover nPhys physical qubits by

@@ -187,35 +187,15 @@ func (r *Router) Name() string { return r.name }
 
 // Route implements router.Router.
 func (r *Router) Route(c *circuit.Circuit, dev *arch.Device) (*router.Result, error) {
-	return r.RouteCtx(context.Background(), c, dev)
+	return router.PrepareAndRoute(r, c, dev)
 }
 
-// RouteCtx implements router.RouterCtx: Route under a cancellation
-// context. The trial engines poll the context with an amortized
-// CtxChecker, so an uncancellable context (the Route path) costs
-// nothing in the decision loop.
-func (r *Router) RouteCtx(ctx context.Context, c *circuit.Circuit, dev *arch.Device) (*router.Result, error) {
-	p, err := router.Prepare(c, dev)
-	if err != nil {
-		return nil, fmt.Errorf("sabre: %w", err)
-	}
-	return r.RoutePreparedCtx(ctx, p)
-}
-
-// RoutePrepared implements router.PreparedRouter: it routes from a
-// shared pre-built context, producing exactly the result Route would.
-// The context's padded circuit, skeleton, and forward/backward DAGs are
-// deterministic functions of the circuit, so sharing them across tools
-// (and across this router's trial goroutines) is purely a performance
-// channel.
-func (r *Router) RoutePrepared(p *router.Prepared) (*router.Result, error) {
-	return r.RoutePreparedCtx(context.Background(), p)
-}
-
-// RoutePreparedCtx implements router.PreparedRouterCtx. Cancellation is
-// observed inside every trial's routing loop; once ctx is done the
-// remaining trial work collapses to fast no-ops and ctx.Err() is
-// returned instead of a partial result.
+// RoutePreparedCtx implements router.Router. The shared padded
+// circuit, skeleton, and forward/backward DAGs are read by every trial
+// goroutine. Cancellation is observed inside every trial's routing loop,
+// polled by an amortized CtxChecker that costs nothing under a context
+// that never fires; once ctx is done the remaining trial work collapses
+// to fast no-ops and ctx.Err() is returned instead of a partial result.
 func (r *Router) RoutePreparedCtx(ctx context.Context, p *router.Prepared) (*router.Result, error) {
 	dev := p.Device
 	work := p.Padded
@@ -294,10 +274,10 @@ func (r *Router) RoutePreparedCtx(ctx context.Context, p *router.Prepared) (*rou
 
 // RouteFrom implements router.PlacedRouter: the placement search is
 // skipped and every trial routes from the supplied mapping.
-func (r *Router) RouteFrom(c *circuit.Circuit, dev *arch.Device, initial router.Mapping) (*router.Result, error) {
-	pinned := &Router{opts: r.opts, name: r.name, fixed: router.PadMapping(initial, dev.NumQubits()), budget: r.budget}
+func (r *Router) RouteFrom(ctx context.Context, p *router.Prepared, initial router.Mapping) (*router.Result, error) {
+	pinned := &Router{opts: r.opts, name: r.name, fixed: router.PadMapping(initial, p.Device.NumQubits()), budget: r.budget}
 	pinned.opts.MappingPasses = -1
-	res, err := pinned.Route(c, dev)
+	res, err := pinned.RoutePreparedCtx(ctx, p)
 	if err != nil {
 		return nil, err
 	}
@@ -306,7 +286,6 @@ func (r *Router) RouteFrom(c *circuit.Circuit, dev *arch.Device, initial router.
 	r.decisions.Add(pinned.decisions.Load())
 	r.candidates.Add(pinned.candidates.Load())
 	r.restarts.Add(pinned.restarts.Load())
-	res.Tool = r.name
 	return res, nil
 }
 

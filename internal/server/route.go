@@ -97,6 +97,10 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad route request: %w", err))
 		return
 	}
+	if err := checkTrials(req.Trials); err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
 	inst, err := s.resolveRouteInstance(r.Context(), &req)
 	if err != nil {
 		notFoundOr400(w, err)

@@ -313,6 +313,29 @@ func TestRouteRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// A trial count above maxTrials is refused with 400 by both endpoints
+// that take one; the limit itself is accepted.
+func TestTrialsAboveLimitRejected(t *testing.T) {
+	ts, _, _, st := routeTestServer(t, 100, time.Minute)
+	reqBody := func(trials int) string {
+		return fmt.Sprintf(`{"suite": %q, "instance": %q, "tools": "healthy", "trials": %d}`,
+			st.Hash, st.Instances[0].Base, trials)
+	}
+	for name, url := range map[string]string{
+		"route": ts.URL + "/v1/route",
+		"eval":  fmt.Sprintf("%s/v1/suites/%s/eval?tools=healthy&trials=%d", ts.URL, st.Hash, maxTrials+1),
+	} {
+		resp := post(t, url, reqBody(maxTrials+1))
+		b, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), "exceeds the limit") {
+			t.Errorf("%s with trials %d: status %d %s, want 400 naming the limit", name, maxTrials+1, resp.StatusCode, b)
+		}
+	}
+	if resp := post(t, ts.URL+"/v1/route", reqBody(maxTrials)); resp.StatusCode != http.StatusOK {
+		t.Errorf("route with trials %d: status %d, want 200", maxTrials, resp.StatusCode)
+	}
+}
+
 func metricsText(t *testing.T, ts *httptest.Server) string {
 	t.Helper()
 	b, err := io.ReadAll(get(t, ts.URL+"/metrics").Body)

@@ -414,6 +414,9 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	}
 	q := r.URL.Query()
 	trials, err := intParam(q.Get("trials"), 8)
+	if err == nil {
+		err = checkTrials(trials)
+	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -573,6 +576,19 @@ func (s *Server) admit(st *suite.Suite) *cachedSuite {
 		read:  func(name string) ([]byte, error) { return s.store.ReadInstanceFile(hash, name) },
 		files: map[string][]byte{},
 	})
+}
+
+// maxTrials caps the SABRE-style trial count a request may ask for: the
+// paper's LightSABRE budget. A tool allocates and schedules work per
+// trial, so an unbounded count from the wire is an unbounded allocation.
+const maxTrials = 1000
+
+// checkTrials rejects a requested trial count above maxTrials.
+func checkTrials(n int) error {
+	if n > maxTrials {
+		return fmt.Errorf("trials %d exceeds the limit of %d", n, maxTrials)
+	}
+	return nil
 }
 
 func intParam(s string, def int) (int, error) {

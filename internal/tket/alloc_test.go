@@ -6,6 +6,7 @@
 package tket_test
 
 import (
+	"context"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -41,12 +42,12 @@ func TestWarmRouteAllocatesOnlyItsResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tket.New(gc.opts).RoutePrepared(p); err != nil {
+	if _, err := tket.New(gc.opts).RoutePreparedCtx(context.Background(), p); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	res, err := tket.New(gc.opts).RoutePrepared(p)
+	res, err := tket.New(gc.opts).RoutePreparedCtx(context.Background(), p)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package tket_test
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"testing"
@@ -82,9 +83,13 @@ func routeGolden(gc goldenCase) error {
 		return err
 	}
 	r := tket.New(gc.opts)
+	p, err := router.Prepare(b.Circuit, dev)
+	if err != nil {
+		return err
+	}
 	var res *router.Result
 	if gc.placed {
-		res, err = r.RouteFrom(b.Circuit, dev, b.InitialMapping)
+		res, err = r.RouteFrom(context.Background(), p, b.InitialMapping)
 	} else {
 		res, err = r.Route(b.Circuit, dev)
 	}
